@@ -54,8 +54,7 @@ fn main() {
     }
     headline(&mut tee, &all);
     if let Some(path) = &cli.json {
-        std::fs::write(path, serde_json::to_string_pretty(&all).unwrap())
-            .expect("write JSON output");
+        std::fs::write(path, peercache_json::to_string_pretty(&all)).expect("write JSON output");
         println!("(rows written to {path})");
     }
 }

@@ -92,8 +92,7 @@ fn main() {
     }
 
     if let Some(path) = &cli.json {
-        std::fs::write(path, serde_json::to_string_pretty(&out).unwrap())
-            .expect("write JSON output");
+        std::fs::write(path, peercache_json::to_string_pretty(&out)).expect("write JSON output");
         println!("(matrix written to {path})");
     }
 }

@@ -368,7 +368,7 @@ fn main() {
         gauge,
     };
     if let Some(path) = &args.json {
-        let body = serde_json::to_string_pretty(&doc).expect("report serialises");
+        let body = peercache_json::to_string_pretty(&doc);
         std::fs::write(path, body).expect("write JSON report");
         teeln!(tee, "(report written to {path})");
     }

@@ -185,7 +185,7 @@ fn main() {
     );
 
     if let Some(path) = &cli.json {
-        std::fs::write(path, serde_json::to_string_pretty(&reports).unwrap())
+        std::fs::write(path, peercache_json::to_string_pretty(&reports))
             .expect("write JSON output");
         println!("(reports written to {path})");
     }

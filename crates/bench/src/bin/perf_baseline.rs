@@ -47,12 +47,12 @@
 
 use std::time::Instant;
 
-use peercache_bench::json::Json;
 use peercache_bench::{random_chord_problem, random_pastry_problem};
 use peercache_core::chord::{select_fast, select_naive, ChordWorkspace, PreparedChord};
 use peercache_core::pastry::{select_dp, select_greedy, PastryWorkspace};
 use peercache_freq::{FrequencyEstimator, SpaceSaving};
 use peercache_id::Id;
+use peercache_json::{Value, ValueExt};
 use peercache_par::with_threads;
 use peercache_pastry::RoutingMode;
 use peercache_sim::{
@@ -661,24 +661,25 @@ fn memory_gauges() -> Vec<MemoryGauge> {
 fn check_against_baseline(report: &BenchReport, path: &str, tolerance: f64) -> usize {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
+    let doc = peercache_json::parse(&text)
+        .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
     let base_kernels = doc
         .get("kernels")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("baseline has a kernels array");
     println!("\nregression gate vs {path} (tolerance {tolerance:.0} %, on normalised units):");
     let mut regressions = 0;
     for base in base_kernels {
         let name = base
             .get("kernel")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .expect("baseline kernel has a name");
-        if base.get("gated").and_then(Json::as_bool) != Some(true) {
+        if base.get("gated").and_then(Value::as_bool) != Some(true) {
             continue;
         }
         let base_units = base
             .get("units")
-            .and_then(Json::as_f64)
+            .and_then(Value::as_f64)
             .expect("baseline kernel has units");
         let Some(fresh) = report.kernels.iter().find(|k| k.kernel == name) else {
             println!("  {name:<24} MISSING from this run");
@@ -734,11 +735,7 @@ fn main() {
     };
     std::fs::create_dir_all("out").expect("create out/ directory");
     let path = format!("out/BENCH_{label}.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("report serialises"),
-    )
-    .expect("write bench report");
+    std::fs::write(&path, peercache_json::to_string_pretty(&report)).expect("write bench report");
     println!("(report written to {path})");
 
     if let Some(min) = args.require_speedup {

@@ -5,7 +5,6 @@
 
 #[cfg(feature = "count-allocs")]
 pub mod alloc_count;
-pub mod json;
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -196,7 +195,7 @@ impl FigureCli {
         println!("{}", peercache_sim::render_table(rows));
         if let Some(path) = &self.json {
             let mut file = std::fs::File::create(path).expect("create JSON output");
-            let body = serde_json::to_string_pretty(rows).expect("rows serialise");
+            let body = peercache_json::to_string_pretty(rows);
             file.write_all(body.as_bytes()).expect("write JSON output");
             println!("(rows written to {path})");
         }

@@ -3,11 +3,11 @@
 //! calls, local-shadowing, `cfg(test)` exclusion, cycles), the
 //! reachability rules L9–L11 with their `lint.roots` binding, and the
 //! SARIF `codeFlows` chain emitted for a reachability finding — parsed
-//! back with `peercache-bench`'s JSON reader.
+//! back with `peercache-json`'s parser.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use peercache_bench::json::Json;
+use peercache_json::{Value, ValueExt};
 use peercache_lint::callgraph::CallGraph;
 use peercache_lint::items::{parse_items, tokenize, Item, Tok};
 use peercache_lint::reach::{check_reachability, parse_roots};
@@ -235,7 +235,7 @@ fn unresolvable_root_is_a_hard_error() {
 }
 
 // ---------------------------------------------------------------------
-// End to end: lint_root + SARIF codeFlows, parsed back via bench Json.
+// End to end: lint_root + SARIF codeFlows, parsed back via peercache-json.
 // ---------------------------------------------------------------------
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -298,32 +298,32 @@ fn l10_finding_carries_a_full_code_flow_chain_into_sarif() {
     assert_eq!(finding.flow.len(), 4, "{:?}", finding.flow);
 
     let doc = to_sarif(&report.findings);
-    let json = Json::parse(&doc).expect("emitter produces valid JSON");
+    let json = peercache_json::parse(&doc).expect("emitter produces valid JSON");
     let results = json
         .get("runs")
         .and_then(|r| r.as_array())
         .and_then(|r| r.first())
         .and_then(|r| r.get("results"))
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("results array");
     let l10 = results
         .iter()
-        .find(|r| r.get("ruleId").and_then(Json::as_str) == Some("L10"))
+        .find(|r| r.get("ruleId").and_then(Value::as_str) == Some("L10"))
         .expect("L10 result in SARIF");
 
     let locations = l10
         .get("codeFlows")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .and_then(|f| f.first())
         .and_then(|f| f.get("threadFlows"))
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .and_then(|t| t.first())
         .and_then(|t| t.get("locations"))
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("codeFlows[0].threadFlows[0].locations");
     assert_eq!(locations.len(), 4);
 
-    let step = |i: usize, key: &str| -> Json {
+    let step = |i: usize, key: &str| -> Value {
         locations[i]
             .get("location")
             .and_then(|l| {
@@ -356,7 +356,7 @@ fn l10_finding_carries_a_full_code_flow_chain_into_sarif() {
     // An L1-only finding carries no codeFlows.
     let l1 = results
         .iter()
-        .find(|r| r.get("ruleId").and_then(Json::as_str) == Some("L1"))
+        .find(|r| r.get("ruleId").and_then(Value::as_str) == Some("L1"))
         .expect("L1 result in SARIF");
     assert!(l1.get("codeFlows").is_none());
 }

@@ -3,7 +3,7 @@
 //! one match arm → L12, a skipped scratch `clear()` → L13, ungated
 //! growth → L14), the clean-kernel negatives, the stale-`lint.allow`
 //! hard errors, the unresolvable-root hard error, and the SARIF
-//! `codeFlows` round-trip through `peercache-bench`'s JSON reader.
+//! `codeFlows` round-trip through `peercache-json`'s parser.
 //!
 //! Every test drives `lint_root` over a real on-disk workspace, so the
 //! assertions pin the whole pipeline — scan → tokenize → item tree →
@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use peercache_bench::json::Json;
+use peercache_json::{Value, ValueExt};
 use peercache_lint::{lint_root, to_sarif, Rule};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -295,36 +295,36 @@ fn dataflow_code_flows_round_trip_through_sarif() {
 
     let report = lint_root(&ws.root).expect("lintable tree");
     let doc = to_sarif(&report.findings);
-    let json = Json::parse(&doc).expect("emitter produces valid JSON");
+    let json = peercache_json::parse(&doc).expect("emitter produces valid JSON");
     let results = json
         .get("runs")
         .and_then(|r| r.as_array())
         .and_then(|r| r.first())
         .and_then(|r| r.get("results"))
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("results array");
 
-    let locations_of = |rule: &str| -> Vec<Json> {
+    let locations_of = |rule: &str| -> Vec<Value> {
         results
             .iter()
-            .find(|r| r.get("ruleId").and_then(Json::as_str) == Some(rule))
+            .find(|r| r.get("ruleId").and_then(Value::as_str) == Some(rule))
             .expect("rule present in SARIF")
             .get("codeFlows")
-            .and_then(Json::as_array)
+            .and_then(Value::as_array)
             .and_then(|f| f.first())
             .and_then(|f| f.get("threadFlows"))
-            .and_then(Json::as_array)
+            .and_then(Value::as_array)
             .and_then(|t| t.first())
             .and_then(|t| t.get("locations"))
-            .and_then(Json::as_array)
+            .and_then(Value::as_array)
             .expect("codeFlows[0].threadFlows[0].locations")
             .to_vec()
     };
-    let step_message = |loc: &Json| -> String {
+    let step_message = |loc: &Value| -> String {
         loc.get("location")
             .and_then(|l| l.get("message"))
             .and_then(|m| m.get("text"))
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .expect("step message")
             .to_owned()
     };

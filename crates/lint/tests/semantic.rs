@@ -1,12 +1,12 @@
 //! Tests for the semantic pass: the item tree and symbol table behind
 //! rule L7, the determinism rules L6 and L8, the SARIF emitter (parsed
-//! back with `peercache-bench`'s JSON reader), and the self-lint gate
+//! back with `peercache-json`'s parser), and the self-lint gate
 //! that keeps `crates/lint` and `crates/par` at a zero allowlist budget.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use peercache_bench::json::Json;
+use peercache_json::{Value, ValueExt};
 use peercache_lint::items::{parse_items, tokenize, ItemKind, Visibility};
 use peercache_lint::sarif::SARIF_VERSION;
 use peercache_lint::scan::scan;
@@ -360,7 +360,7 @@ fn lint_root_notes_overgenerous_l6_budgets() {
 }
 
 // ---------------------------------------------------------------------
-// SARIF emitter, parsed back with the bench crate's JSON reader.
+// SARIF emitter, parsed back with peercache-json's parser.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -384,15 +384,15 @@ fn sarif_document_carries_rule_metadata_and_locations() {
         },
     ];
     let doc = to_sarif(&findings);
-    let json = Json::parse(&doc).expect("emitter produces valid JSON");
+    let json = peercache_json::parse(&doc).expect("emitter produces valid JSON");
 
     assert_eq!(
-        json.get("version").and_then(Json::as_str),
+        json.get("version").and_then(Value::as_str),
         Some(SARIF_VERSION)
     );
     let runs = json
         .get("runs")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("runs array");
     assert_eq!(runs.len(), 1);
 
@@ -401,17 +401,17 @@ fn sarif_document_carries_rule_metadata_and_locations() {
         .and_then(|t| t.get("driver"))
         .expect("tool.driver");
     assert_eq!(
-        driver.get("name").and_then(Json::as_str),
+        driver.get("name").and_then(Value::as_str),
         Some("peercache-lint")
     );
     let rules = driver
         .get("rules")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("driver.rules");
     assert_eq!(rules.len(), 14, "all fourteen rules are described");
     let ids: Vec<&str> = rules
         .iter()
-        .filter_map(|r| r.get("id").and_then(Json::as_str))
+        .filter_map(|r| r.get("id").and_then(Value::as_str))
         .collect();
     assert_eq!(
         ids,
@@ -421,60 +421,60 @@ fn sarif_document_carries_rule_metadata_and_locations() {
         let short = rule
             .get("shortDescription")
             .and_then(|d| d.get("text"))
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .expect("shortDescription.text");
         let full = rule
             .get("fullDescription")
             .and_then(|d| d.get("text"))
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .expect("fullDescription.text");
         assert!(!short.is_empty() && full.len() > short.len());
     }
 
     let results = runs[0]
         .get("results")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("results");
     assert_eq!(results.len(), 2);
 
     let first = &results[0];
-    assert_eq!(first.get("ruleId").and_then(Json::as_str), Some("L6"));
-    assert_eq!(first.get("ruleIndex").and_then(Json::as_f64), Some(5.0));
-    assert_eq!(first.get("level").and_then(Json::as_str), Some("error"));
+    assert_eq!(first.get("ruleId").and_then(Value::as_str), Some("L6"));
+    assert_eq!(first.get("ruleIndex").and_then(Value::as_f64), Some(5.0));
+    assert_eq!(first.get("level").and_then(Value::as_str), Some("error"));
     assert_eq!(
         first
             .get("message")
             .and_then(|m| m.get("text"))
-            .and_then(Json::as_str),
+            .and_then(Value::as_str),
         Some("iteration \"order\" is\nrandomized"),
         "quotes and newlines round-trip through the escaper"
     );
     let location = first
         .get("locations")
-        .and_then(Json::as_array)
-        .and_then(<[Json]>::first)
+        .and_then(Value::as_array)
+        .and_then(<[Value]>::first)
         .and_then(|l| l.get("physicalLocation"))
         .expect("locations[0].physicalLocation");
     assert_eq!(
         location
             .get("artifactLocation")
             .and_then(|a| a.get("uri"))
-            .and_then(Json::as_str),
+            .and_then(Value::as_str),
         Some("crates/sim/src/demo.rs")
     );
     assert_eq!(
         location
             .get("region")
             .and_then(|r| r.get("startLine"))
-            .and_then(Json::as_f64),
+            .and_then(Value::as_f64),
         Some(3.0)
     );
 
     let second = &results[1];
-    assert_eq!(second.get("ruleId").and_then(Json::as_str), Some("L8"));
-    assert_eq!(second.get("ruleIndex").and_then(Json::as_f64), Some(7.0));
+    assert_eq!(second.get("ruleId").and_then(Value::as_str), Some("L8"));
+    assert_eq!(second.get("ruleIndex").and_then(Value::as_f64), Some(7.0));
     assert_eq!(
-        second.get("level").and_then(Json::as_str),
+        second.get("level").and_then(Value::as_str),
         Some("note"),
         "allowlisted findings surface as notes, not errors"
     );

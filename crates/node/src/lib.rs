@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod jsonl;
 pub mod message;
 pub mod runtime;
 pub mod store;

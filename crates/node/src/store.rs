@@ -18,9 +18,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use peercache_id::Id;
+use peercache_json::{Value, ValueExt};
 use serde::Serialize;
 
-use crate::jsonl;
 use crate::message::Tick;
 
 /// On-disk format version; bumped on any incompatible row change.
@@ -75,11 +75,18 @@ struct HeaderRow {
     version: u64,
 }
 
-/// Serialize one row (the vendored renderer is infallible; the error
-/// arm keeps the upstream `Result` shape without an `expect`).
-fn render_row<T: Serialize>(row: &T) -> io::Result<String> {
-    serde_json::to_string(row)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// One entry row, or `None` when the line is not JSON or one of the
+/// four fields is missing, negative, fractional or out of range.
+fn parse_entry(line: &str) -> Option<PeerEntry> {
+    let row = peercache_json::parse(line).ok()?;
+    let field = |key| row.get(key).and_then(Value::as_u128);
+    let counter = |key| field(key).and_then(|v| u64::try_from(v).ok());
+    Some(PeerEntry {
+        id: Id::new(field("id")?),
+        last_seen: counter("last_seen")?,
+        successes: counter("successes")?,
+        failures: counter("failures")?,
+    })
 }
 
 /// Full 128×128→256-bit product as `(hi, lo)` limbs; the pair's
@@ -276,17 +283,17 @@ impl PeerStore {
     /// Propagates the underlying filesystem errors.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let mut out = String::new();
-        out.push_str(&render_row(&HeaderRow {
+        out.push_str(&peercache_json::to_string(&HeaderRow {
             version: STORE_VERSION,
-        })?);
+        }));
         out.push('\n');
         for entry in &self.entries {
-            out.push_str(&render_row(&EntryRow {
+            out.push_str(&peercache_json::to_string(&EntryRow {
                 id: entry.id.value(),
                 last_seen: entry.last_seen,
                 successes: entry.successes,
                 failures: entry.failures,
-            })?);
+            }));
             out.push('\n');
         }
         let mut tmp_name = path.as_os_str().to_owned();
@@ -317,25 +324,14 @@ impl PeerStore {
         let Some(header) = lines.next() else {
             return store;
         };
-        let Some(fields) = jsonl::parse_flat_u128(header) else {
-            return store;
-        };
-        if jsonl::field(&fields, "version") != Some(u128::from(STORE_VERSION)) {
+        let version = peercache_json::parse(header)
+            .ok()
+            .and_then(|row| row.get("version").and_then(Value::as_u128));
+        if version != Some(u128::from(STORE_VERSION)) {
             return store;
         }
         for line in lines {
-            let Some(fields) = jsonl::parse_flat_u128(line) else {
-                break;
-            };
-            let entry = (|| {
-                Some(PeerEntry {
-                    id: Id::new(jsonl::field(&fields, "id")?),
-                    last_seen: u64::try_from(jsonl::field(&fields, "last_seen")?).ok()?,
-                    successes: u64::try_from(jsonl::field(&fields, "successes")?).ok()?,
-                    failures: u64::try_from(jsonl::field(&fields, "failures")?).ok()?,
-                })
-            })();
-            let Some(entry) = entry else {
+            let Some(entry) = parse_entry(line) else {
                 break;
             };
             match store.entries.binary_search_by_key(&entry.id, |e| e.id) {

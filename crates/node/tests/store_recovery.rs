@@ -123,7 +123,17 @@ proptest! {
 
     #[test]
     fn wholesale_garbage_loads_to_something_total(
-        bytes in prop::collection::vec(0u8..=255, 0..512),
+        bytes in prop_oneof![
+            prop::collection::vec(0u8..=255, 0..512),
+            // A row nested 100 000 deep must hit the parser's depth cap,
+            // not overflow the stack.
+            Just(format!("{{\"version\":1}}\n{}\n", "[".repeat(100_000)).into_bytes()),
+            // Every proper prefix of the committed writer-format fixture.
+            {
+                let bytes = std::fs::read(fixture("valid.jsonl")).expect("fixture");
+                (0..bytes.len()).prop_map(move |cut| bytes[..cut].to_vec())
+            },
+        ],
     ) {
         let path = scratch("garbage.jsonl");
         std::fs::write(&path, &bytes).expect("write garbage");

@@ -117,7 +117,7 @@ fn fig6_rows_cover_three_k_factors() {
 #[test]
 fn rows_serialise_to_json() {
     let rows = fig6(&quick(), 15);
-    let json = serde_json::to_string(&rows).expect("rows serialise");
+    let json = peercache_json::to_string(&rows);
     assert!(json.contains("\"figure\":\"fig6\""));
     assert!(json.contains("reduction_pct"));
 }
