@@ -13,58 +13,103 @@
 //! uniform draw over the remaining pool, so exactly `min(k, n)` pointers
 //! are always returned.
 
-use std::collections::BTreeMap;
-
-use peercache_id::Id;
+use peercache_id::{Id, IdSpace};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::cost::{chord_cost, pastry_cost};
 use crate::problem::{ChordProblem, PastryProblem, Selection};
 
-/// Draw `k` ids slice-balanced: `⌊k / #slices⌋` (+1 for the first
-/// `k mod #slices` slices) from each slice at random, then top up from
-/// the leftover pool.
-fn slice_balanced<R: Rng + ?Sized>(
-    slices: BTreeMap<u32, Vec<Id>>,
-    k: usize,
-    rng: &mut R,
-) -> Vec<Id> {
-    let total: usize = slices.values().map(Vec::len).sum();
-    let k = k.min(total);
-    if k == 0 {
-        return Vec::new();
+/// Slice keys are hop estimates or shared-digit counts, both bounded by
+/// the id width (at most 128 bits).
+const MAX_KEY: usize = 128;
+
+/// The draw kernel of the baseline: candidates bucketed by slice key,
+/// drawn slice-balanced. The buckets (and the leftover pool) keep their
+/// capacity across [`clear`](Self::clear), so a sweep over every node of
+/// an overlay reuses one set of buffers.
+///
+/// Buckets are visited in ascending key order and keep push order
+/// inside, so pushing candidates in ascending id order reproduces the
+/// per-slice order of a `BTreeMap<key, Vec<Id>>` — and, because every
+/// shuffle draws once per element, the exact RNG sequence of one.
+#[derive(Clone, Debug, Default)]
+pub struct SliceBuckets {
+    slices: Vec<Vec<Id>>,
+    leftovers: Vec<Id>,
+}
+
+impl SliceBuckets {
+    /// Empty buckets; they grow to fit on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let nslices = slices.len();
-    let per = k / nslices;
-    let extra = k % nslices;
-    let mut chosen = Vec::with_capacity(k);
-    let mut leftovers: Vec<Id> = Vec::new();
-    for (i, (_, mut ids)) in slices.into_iter().enumerate() {
-        let quota = per + usize::from(i < extra);
-        ids.shuffle(rng);
-        let take = quota.min(ids.len());
-        chosen.extend(ids.drain(..take));
-        leftovers.extend(ids);
+
+    /// Empty every bucket, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.slices.iter_mut().for_each(Vec::clear);
     }
-    if chosen.len() < k {
-        leftovers.shuffle(rng);
-        let need = k - chosen.len();
-        chosen.extend(leftovers.drain(..need));
+
+    /// Append `id` to the bucket of slice `key`.
+    pub fn push(&mut self, key: u32, id: Id) {
+        let key = usize::try_from(key).map_or(MAX_KEY, |key| key.min(MAX_KEY));
+        if self.slices.len() <= key {
+            self.slices.resize_with(key + 1, Vec::new);
+        }
+        if let Some(slice) = self.slices.get_mut(key) {
+            slice.push(id);
+        }
     }
-    chosen.sort();
-    chosen
+
+    /// Draw `k` ids slice-balanced: `⌊k / #slices⌋` (+1 for the first
+    /// `k mod #slices` non-empty slices) from each slice at random, then
+    /// top up from the leftover pool. Returns `min(k, #ids)` ids, sorted.
+    pub fn draw<R: Rng + ?Sized>(&mut self, k: usize, rng: &mut R) -> Vec<Id> {
+        let total: usize = self.slices.iter().map(Vec::len).sum();
+        let k = k.min(total);
+        if k == 0 {
+            return Vec::new();
+        }
+        let nslices = self.slices.iter().filter(|s| !s.is_empty()).count();
+        let per = k / nslices;
+        let extra = k % nslices;
+        let mut chosen = Vec::with_capacity(k);
+        self.leftovers.clear();
+        let nonempty = self.slices.iter_mut().filter(|s| !s.is_empty());
+        for (i, ids) in nonempty.enumerate() {
+            let quota = per + usize::from(i < extra);
+            ids.shuffle(rng);
+            let take = quota.min(ids.len());
+            chosen.extend(ids.iter().take(take));
+            self.leftovers.extend(ids.iter().skip(take));
+        }
+        if chosen.len() < k {
+            self.leftovers.shuffle(rng);
+            let need = k - chosen.len();
+            chosen.extend(self.leftovers.iter().take(need));
+        }
+        chosen.sort();
+        chosen
+    }
+}
+
+/// The Pastry slice of `v` as seen from `source`: the whole digits of
+/// `digit_bits` bits they share. An invalid digit width (which problem
+/// validation rules out) puts every id in slice 0.
+pub fn prefix_slice(space: IdSpace, digit_bits: u8, source: Id, v: Id) -> u32 {
+    space
+        .common_prefix_digits(v, source, digit_bits)
+        .map_or(0, u32::from)
 }
 
 /// Frequency-oblivious auxiliary selection for Chord: random picks per
 /// distance slice (hop-estimate value), ignoring weights.
 pub fn chord_oblivious<R: Rng + ?Sized>(problem: &ChordProblem, rng: &mut R) -> Selection {
-    let mut slices: BTreeMap<u32, Vec<Id>> = BTreeMap::new();
+    let mut buckets = SliceBuckets::new();
     for cand in &problem.candidates {
-        let slice = problem.space.chord_hops(problem.source, cand.id);
-        slices.entry(slice).or_default().push(cand.id);
+        buckets.push(problem.space.chord_hops(problem.source, cand.id), cand.id);
     }
-    let aux = slice_balanced(slices, problem.effective_k(), rng);
+    let aux = buckets.draw(problem.effective_k(), rng);
     let cost = chord_cost(problem, &aux);
     Selection { aux, cost }
 }
@@ -72,17 +117,12 @@ pub fn chord_oblivious<R: Rng + ?Sized>(problem: &ChordProblem, rng: &mut R) -> 
 /// Frequency-oblivious auxiliary selection for Pastry: random picks per
 /// shared-prefix length with the source, ignoring weights.
 pub fn pastry_oblivious<R: Rng + ?Sized>(problem: &PastryProblem, rng: &mut R) -> Selection {
-    let mut slices: BTreeMap<u32, Vec<Id>> = BTreeMap::new();
+    let mut buckets = SliceBuckets::new();
     for cand in &problem.candidates {
-        let slice = u32::from(
-            problem
-                .space
-                .common_prefix_digits(cand.id, problem.source, problem.digit_bits)
-                .expect("validated digit width"),
-        );
-        slices.entry(slice).or_default().push(cand.id);
+        let slice = prefix_slice(problem.space, problem.digit_bits, problem.source, cand.id);
+        buckets.push(slice, cand.id);
     }
-    let aux = slice_balanced(slices, problem.effective_k(), rng);
+    let aux = buckets.draw(problem.effective_k(), rng);
     let cost = pastry_cost(problem, &aux);
     Selection { aux, cost }
 }

@@ -5,7 +5,7 @@
 //! truth every optimiser in this crate is validated against, and the
 //! reporting path for experiments.
 
-use peercache_id::{Id, IdSpace};
+use peercache_id::{Id, IdError, IdSpace};
 
 use crate::problem::{Candidate, ChordProblem, PastryProblem};
 
@@ -47,21 +47,26 @@ pub fn chord_set_distance(space: IdSpace, source: Id, v: Id, set: &[Id]) -> u32 
         .unwrap_or(space.max_chord_hops())
 }
 
-fn total_cost<F>(candidates: &[Candidate], mut dist: F) -> f64
+fn total_cost<I, F>(candidates: I, mut dist: F) -> f64
 where
+    I: IntoIterator<Item = (Id, f64)>,
     F: FnMut(Id) -> u32,
 {
     candidates
-        .iter()
-        .map(|c| c.weight * (1.0 + f64::from(dist(c.id))))
+        .into_iter()
+        .map(|(v, weight)| weight * (1.0 + f64::from(dist(v))))
         .sum()
+}
+
+fn weighted(candidates: &[Candidate]) -> impl Iterator<Item = (Id, f64)> + '_ {
+    candidates.iter().map(|c| (c.id, c.weight))
 }
 
 /// Evaluate eq. (1) for a Pastry problem with auxiliary set `aux`.
 pub fn pastry_cost(problem: &PastryProblem, aux: &[Id]) -> f64 {
     let mut neighbors: Vec<Id> = problem.core.clone();
     neighbors.extend_from_slice(aux);
-    total_cost(&problem.candidates, |v| {
+    total_cost(weighted(&problem.candidates), |v| {
         pastry_set_distance(problem.space, problem.digit_bits, v, &neighbors)
     })
 }
@@ -70,9 +75,66 @@ pub fn pastry_cost(problem: &PastryProblem, aux: &[Id]) -> f64 {
 pub fn chord_cost(problem: &ChordProblem, aux: &[Id]) -> f64 {
     let mut neighbors: Vec<Id> = problem.core.clone();
     neighbors.extend_from_slice(aux);
-    total_cost(&problem.candidates, |v| {
+    total_cost(weighted(&problem.candidates), |v| {
         chord_set_distance(problem.space, problem.source, v, &neighbors)
     })
+}
+
+/// [`chord_cost`] in `O(n log m)`: eq. (1) over `(id, weight)`
+/// candidates, with `N ∪ A` given as `neighbors` **sorted by clockwise
+/// distance from `source`**.
+///
+/// The usable neighbors of `v` are a prefix of that order, and the
+/// leftmost-one estimate only shrinks as a neighbor closes in on `v`, so
+/// `d(v)` is read off the last usable one, found by binary search. The
+/// sum runs in candidate order, so the result is bit-identical to
+/// [`chord_cost`] over the same candidates in the same order.
+pub fn chord_cost_sorted<I>(space: IdSpace, source: Id, neighbors: &[Id], candidates: I) -> f64
+where
+    I: IntoIterator<Item = (Id, f64)>,
+{
+    total_cost(candidates, |v| {
+        let dv = space.clockwise_distance(source, v);
+        let usable = neighbors.partition_point(|&w| space.clockwise_distance(source, w) <= dv);
+        usable
+            .checked_sub(1)
+            .and_then(|last| neighbors.get(last))
+            .map_or(space.max_chord_hops(), |&w| space.chord_hops(w, v))
+    })
+}
+
+/// [`pastry_cost`] in `O(n log m)`: eq. (1) over `(id, weight)`
+/// candidates, with `N ∪ A` given as `neighbors` **sorted by id**.
+///
+/// The longest common prefix of `v` with any member of a sorted set is
+/// attained at `v`'s predecessor or successor in it, so `d(v)` needs only
+/// those two. The sum runs in candidate order, so the result is
+/// bit-identical to [`pastry_cost`] over the same candidates in the same
+/// order.
+///
+/// # Errors
+/// [`IdError::InvalidDigitBits`] when `digit_bits` is not a valid digit
+/// width for `space`.
+pub fn pastry_cost_sorted<I>(
+    space: IdSpace,
+    digit_bits: u8,
+    neighbors: &[Id],
+    candidates: I,
+) -> Result<f64, IdError>
+where
+    I: IntoIterator<Item = (Id, f64)>,
+{
+    let count = u32::from(space.digit_count(digit_bits)?);
+    Ok(total_cost(candidates, |v| {
+        let at = neighbors.partition_point(|&w| w < v);
+        let before = at.checked_sub(1).and_then(|i| neighbors.get(i));
+        [before, neighbors.get(at)]
+            .into_iter()
+            .flatten()
+            .filter_map(|&w| space.pastry_hops(v, w, digit_bits).ok())
+            .min()
+            .unwrap_or(count)
+    }))
 }
 
 /// Whether every QoS delay bound in `candidates` is met by `N ∪ A` under

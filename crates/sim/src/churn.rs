@@ -20,7 +20,7 @@ use serde::Serialize;
 
 use crate::engine::{exp_sample, EventQueue};
 use crate::metrics::{reduction_pct, FaultMetrics, QueryMetrics};
-use crate::overlay::{OverlayKind, SelectScratch, SimOverlay};
+use crate::overlay::{ObliviousPool, OverlayKind, SelectScratch, SimOverlay};
 use crate::refresh::ChurnRefresh;
 use crate::stable::RankingMode;
 
@@ -232,6 +232,8 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
     // recomputes (live-origin sampling is now O(log n) through the
     // incrementally maintained `Liveness` set).
     let mut select_scratch = SelectScratch::new();
+    // Reused across events: the oblivious baseline's buckets and buffers.
+    let mut oblivious_pool = ObliviousPool::new(&overlay);
     // The incremental engine (default mode): retained per-node
     // optimizers fed by dirty marks and churn events, replacing the
     // per-tick snapshot + full solve. `Full` keeps the pre-refactor arm
@@ -355,11 +357,17 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                         }
                     },
                     // The baseline ignores observations entirely: random
-                    // per-slice picks from the live ring (§VI-A).
+                    // per-slice picks from the live ring (§VI-A), re-read
+                    // here because liveness may have changed since the
+                    // last event.
                     Strategy::Oblivious => {
-                        if let Ok(sel) =
-                            overlay.select_oblivious_uniform(node, config.k, &mut rng_select)
-                        {
+                        oblivious_pool.refresh(&overlay);
+                        if let Ok(sel) = overlay.select_oblivious_pooled(
+                            &mut oblivious_pool,
+                            node,
+                            config.k,
+                            &mut rng_select,
+                        ) {
                             overlay.set_aux(node, sel.aux);
                         }
                     }

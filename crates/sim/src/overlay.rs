@@ -3,7 +3,8 @@
 //! frequency-aware and frequency-oblivious selection algorithms.
 
 use peercache_chord::{ChordConfig, ChordNetwork};
-use peercache_core::{baseline, chord, pastry, Candidate, ChordProblem, PastryProblem};
+use peercache_core::baseline::{self, SliceBuckets};
+use peercache_core::{chord, cost, pastry, Candidate, ChordProblem, PastryProblem};
 use peercache_core::{SelectError, Selection};
 use peercache_faults::{FaultPlan, FaultedRoute, RouteTrace, StepScratch, WalkStep};
 use peercache_freq::FrequencySnapshot;
@@ -70,6 +71,43 @@ impl Default for SelectScratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Reusable state for a frequency-oblivious selection sweep: the sorted
+/// live ring, read once, plus the draw buckets and neighbor buffer every
+/// node's selection reuses. The ring must be the overlay's current
+/// live ring — re-read it with [`refresh`](Self::refresh) after any
+/// membership change.
+pub(crate) struct ObliviousPool {
+    ring: Vec<Id>,
+    buckets: SliceBuckets,
+    neighbors: Vec<Id>,
+}
+
+impl ObliviousPool {
+    /// A pool over `overlay`'s live ring.
+    pub(crate) fn new(overlay: &SimOverlay) -> Self {
+        ObliviousPool {
+            ring: overlay.live_ids(),
+            buckets: SliceBuckets::new(),
+            neighbors: Vec::new(),
+        }
+    }
+
+    /// Re-read the live ring of `overlay`.
+    pub(crate) fn refresh(&mut self, overlay: &SimOverlay) {
+        self.ring = overlay.live_ids();
+    }
+}
+
+/// The uniform candidate pool of `node`: `ring` (sorted) minus `node` and
+/// minus `core` (sorted), in ascending id order, by a merge.
+fn ring_candidates<'a>(ring: &'a [Id], node: Id, core: &'a [Id]) -> impl Iterator<Item = Id> + 'a {
+    let mut core = core.iter().copied().peekable();
+    ring.iter().copied().filter(move |&v| {
+        while core.next_if(|&c| c < v).is_some() {}
+        v != node && core.next_if_eq(&v).is_none()
+    })
 }
 
 /// A live overlay instance of any supported kind.
@@ -564,54 +602,94 @@ impl SimOverlay {
         }
     }
 
-    /// Run the frequency-oblivious baseline selection for `node` over the
-    /// same candidate pool.
-    ///
-    /// # Errors
-    /// Propagates [`SelectError::InvalidProblem`] (construction only).
-    pub(crate) fn select_oblivious<R: Rng + ?Sized>(
-        &self,
-        node: Id,
-        frequencies: &FrequencySnapshot,
-        k: usize,
-        rng: &mut R,
-    ) -> Result<Selection, SelectError> {
-        let candidates = self.candidates_for(node, frequencies);
-        let core = self.core_neighbors(node);
-        match self.kind() {
-            OverlayKind::Chord | OverlayKind::SkipGraph => {
-                let candidates = candidates
-                    .into_iter()
-                    .filter(|c| self.is_live(c.id))
-                    .collect();
-                let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
-                Ok(baseline::chord_oblivious(&problem, rng))
-            }
-            OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
-                let problem =
-                    PastryProblem::new(self.space(), digit_bits, node, core, candidates, k)?;
-                Ok(baseline::pastry_oblivious(&problem, rng))
-            }
-        }
-    }
-
     /// Frequency-oblivious selection over the *whole live ring* (minus
     /// self and core): the paper's baseline picks random nodes per
     /// distance slice from the overlay, with no reference to who was
     /// queried (§VI-A). This is the churn-mode baseline; in stable mode
     /// the observed pool already equals the whole ring.
     ///
+    /// One-node wrapper over the pooled sweep path: it reads the live
+    /// ring once for this call. Sweeps over many nodes hold one
+    /// [`ObliviousPool`] instead.
+    ///
     /// # Errors
-    /// Propagates [`SelectError::InvalidProblem`] (construction only).
+    /// [`SelectError::InvalidProblem`] when `node`'s core would not form
+    /// a valid selection problem (an id outside the space, a duplicate,
+    /// the node itself, or an invalid digit width).
     pub fn select_oblivious_uniform<R: Rng + ?Sized>(
         &self,
         node: Id,
         k: usize,
         rng: &mut R,
     ) -> Result<Selection, SelectError> {
-        let uniform =
-            FrequencySnapshot::from_pairs(self.live_ids().into_iter().map(|id| (id, 1.0)));
-        self.select_oblivious(node, &uniform, k, rng)
+        let mut pool = ObliviousPool::new(self);
+        self.select_oblivious_pooled(&mut pool, node, k, rng)
+    }
+
+    /// [`select_oblivious_uniform`](Self::select_oblivious_uniform) over a
+    /// pool whose ring is this overlay's current live ring.
+    ///
+    /// One `O(n)` scan of the ring buckets every candidate by its slice
+    /// key — the hop estimate from `node` for Chord and skip graphs, the
+    /// shared digits for Pastry and Tapestry — skipping `node` and its
+    /// core by a merge against the sorted core. The draw is the shared
+    /// [`SliceBuckets`] kernel, and the cost is evaluated in
+    /// `O(n log m)` by the sorted-neighbor evaluators of
+    /// [`peercache_core::cost`]. Candidates are pushed and summed in
+    /// ascending id order, so aux sets, RNG consumption and cost bits
+    /// equal those of `baseline::{chord,pastry}_oblivious` on the
+    /// uniform whole-ring problem.
+    pub(crate) fn select_oblivious_pooled<R: Rng + ?Sized>(
+        &self,
+        pool: &mut ObliviousPool,
+        node: Id,
+        k: usize,
+        rng: &mut R,
+    ) -> Result<Selection, SelectError> {
+        let space = self.space();
+        let core = self.core_neighbors(node);
+        // Validate the core exactly as the selection problems do; the
+        // candidates, live ring ids minus self and core, are valid by
+        // construction.
+        let (mut core, digit_bits) = match self.kind() {
+            OverlayKind::Chord | OverlayKind::SkipGraph => (
+                ChordProblem::new(space, node, core, Vec::new(), k)?.core,
+                None,
+            ),
+            OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
+                let problem = PastryProblem::new(space, digit_bits, node, core, Vec::new(), k)?;
+                (problem.core, Some(digit_bits))
+            }
+        };
+        core.sort_unstable();
+
+        pool.buckets.clear();
+        for v in ring_candidates(&pool.ring, node, &core) {
+            let key = match digit_bits {
+                None => space.chord_hops(node, v),
+                Some(d) => baseline::prefix_slice(space, d, node, v),
+            };
+            pool.buckets.push(key, v);
+        }
+        let aux = pool.buckets.draw(k, rng);
+
+        pool.neighbors.clear();
+        pool.neighbors.extend_from_slice(&core);
+        pool.neighbors.extend_from_slice(&aux);
+        let uniform = ring_candidates(&pool.ring, node, &core).map(|v| (v, 1.0));
+        let cost = match digit_bits {
+            None => {
+                pool.neighbors
+                    .sort_unstable_by_key(|&w| space.clockwise_distance(node, w));
+                cost::chord_cost_sorted(space, node, &pool.neighbors, uniform)
+            }
+            Some(d) => {
+                pool.neighbors.sort_unstable();
+                cost::pastry_cost_sorted(space, d, &pool.neighbors, uniform)
+                    .map_err(|e| SelectError::InvalidProblem(e.to_string()))?
+            }
+        };
+        Ok(Selection { aux, cost })
     }
 
     // ---- churn operations (Chord experiments) ---------------------------

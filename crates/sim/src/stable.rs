@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use crate::metrics::{reduction_pct, FaultMetrics, QueryMetrics};
-use crate::overlay::{OverlayKind, SelectScratch, SimOverlay};
+use crate::overlay::{ObliviousPool, OverlayKind, SelectScratch, SimOverlay};
 
 /// Nodes per parallel selection task. Chunking is by fixed size — never by
 /// thread count — and each chunk starts from a fresh [`SelectScratch`], so
@@ -337,11 +337,14 @@ pub(crate) fn build_stable_retaining(config: &StableConfig) -> (StableSetup, Sel
     // loop). The baseline ignores frequencies entirely: random picks per
     // distance slice over the whole ring (§VI-A), not just over the
     // nodes that happen to own items.
+    // The ring never changes in stable mode, so one pool serves the
+    // whole sweep.
     let mut oblivious_sets = Vec::with_capacity(config.nodes);
+    let mut pool = ObliviousPool::new(&inputs.overlay);
     for &node in inputs.node_ids.iter() {
         let oblivious = inputs
             .overlay
-            .select_oblivious_uniform(node, config.k, &mut rng_select)
+            .select_oblivious_pooled(&mut pool, node, config.k, &mut rng_select)
             .expect("stable problems are well-formed");
         oblivious_sets.push(oblivious.aux);
     }
