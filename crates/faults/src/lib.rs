@@ -11,7 +11,7 @@
 //!
 //! The crate deliberately knows nothing about the substrates: the
 //! chord/pastry/tapestry/skipgraph walks call [`FaultPlan::probe`] per
-//! contact attempt and [`FaultPlan::resolve_aux`] per cached-pointer
+//! contact attempt and [`FaultPlan::aux_view`] per cached-pointer
 //! read, and record what happened in a [`RouteTrace`]. All probability
 //! handling happens once at plan construction (an `f64` rate becomes a
 //! 53-bit integer threshold), so the per-probe hot path — and every
@@ -27,5 +27,5 @@ mod trace;
 
 pub use liveness::Liveness;
 pub use plan::{FaultConfig, FaultPlan};
-pub use step::{StepScratch, WalkStep};
+pub use step::{walk, StepScratch, WalkStep};
 pub use trace::{FaultedRoute, LookupFailure, RouteTrace};

@@ -211,13 +211,30 @@ impl FaultPlan {
         false
     }
 
+    /// The auxiliary pointers of `owner` as the walk sees them: `aux`
+    /// itself while the staleness channel is off (no copy), otherwise
+    /// the pointers resolved through that channel into `out`.
+    pub fn aux_view<'s>(
+        &self,
+        space: IdSpace,
+        owner: Id,
+        aux: &'s [Id],
+        out: &'s mut Vec<Id>,
+    ) -> &'s [Id] {
+        if !self.corrupts_aux() {
+            return aux;
+        }
+        self.resolve_aux(space, owner, aux, out);
+        out
+    }
+
     /// Resolve the cached auxiliary pointers of `owner` through the
     /// staleness channel into `out` (cleared first). A stale pointer is
     /// displaced backwards by `1 ..= staleness_age` id units — an id
     /// that almost never names a live node, so probing it times out and
     /// exercises the fallback path. The stale/fresh verdict per
     /// `(owner, pointer)` pair is stable for the whole run.
-    pub fn resolve_aux(&self, space: IdSpace, owner: Id, aux: &[Id], out: &mut Vec<Id>) {
+    pub(crate) fn resolve_aux(&self, space: IdSpace, owner: Id, aux: &[Id], out: &mut Vec<Id>) {
         out.clear();
         if !self.corrupts_aux() {
             out.extend_from_slice(aux);

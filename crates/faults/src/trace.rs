@@ -2,6 +2,10 @@
 
 use peercache_id::Id;
 
+/// Path and probe-list capacity reserved per walk: a lookup at paper
+/// scale takes a handful of hops, each with about one probe.
+const TYPICAL_WALK: usize = 16;
+
 /// Why a fault-injected lookup did not reach the true owner.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LookupFailure {
@@ -47,6 +51,21 @@ impl RouteTrace {
     pub fn start(origin: Id) -> Self {
         RouteTrace {
             path: vec![origin],
+            ..RouteTrace::default()
+        }
+    }
+
+    /// [`start`](Self::start) with room for a typical path and probe
+    /// list, so a walk driven to completion rarely regrows them. Only
+    /// for short-lived traces: the node runtime keeps every in-flight
+    /// and finished trace, where the reserve would cost memory per
+    /// query.
+    pub(crate) fn reserved(origin: Id) -> Self {
+        let mut path = Vec::with_capacity(TYPICAL_WALK);
+        path.push(origin);
+        RouteTrace {
+            path,
+            probed: Vec::with_capacity(TYPICAL_WALK),
             ..RouteTrace::default()
         }
     }

@@ -351,7 +351,7 @@ impl PastryArena {
     ///    the prefix, so the candidate set is that cell plus qualifying
     ///    leaf/auxiliary entries;
     /// 3. numerically closer at the same prefix length.
-    fn next_hop(
+    fn decide_hop(
         &self,
         rank: usize,
         key: Id,
@@ -447,6 +447,14 @@ impl PastryArena {
     /// no failed probes). Returns `None` when `from` is not a member or
     /// a hop leaves the arena — unreachable for engine-produced inputs,
     /// kept total rather than panicking.
+    ///
+    /// This walk stays separate from the network's single step function
+    /// ([`PastryNetwork::route_step_faults`](crate::PastryNetwork::route_step_faults)):
+    /// it reads routing state derived on demand from the sorted id array
+    /// (hash-picked cells, prefix-range slices) rather than per-node
+    /// tables, and an immutable all-live membership needs no probes,
+    /// traces or fault plan. Sharing the step would mean materialising
+    /// the tables the arena exists to avoid.
     pub fn route_with_aux<'a, F>(
         &'a self,
         from: Id,
@@ -468,7 +476,7 @@ impl PastryArena {
                 });
             }
             let current = self.ids[rank];
-            match self.next_hop(rank, key, aux_of(current), scratch) {
+            match self.decide_hop(rank, key, aux_of(current), scratch) {
                 None => {
                     let outcome = if current == owner {
                         RouteOutcome::Success

@@ -6,7 +6,7 @@ use peercache_chord::{ChordConfig, ChordNetwork};
 use peercache_core::baseline::{self, SliceBuckets};
 use peercache_core::{chord, cost, pastry, Candidate, ChordProblem, PastryProblem};
 use peercache_core::{SelectError, Selection};
-use peercache_faults::{FaultPlan, FaultedRoute, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
@@ -45,6 +45,18 @@ pub struct QueryOutcome {
     pub hops: u32,
     /// Dead-neighbor probes (timeouts).
     pub failed_probes: u32,
+}
+
+impl QueryOutcome {
+    /// The overlay-agnostic summary of a walk; timeouts are the failed
+    /// probes.
+    fn of(route: &FaultedRoute) -> Self {
+        QueryOutcome {
+            success: route.is_success(),
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+        }
+    }
 }
 
 /// Reusable per-thread selection scratch: one solver workspace per family
@@ -272,26 +284,33 @@ impl SimOverlay {
     /// churn driver: every node that *sees* a query — origin or forwarder
     /// — learns the access, §III).
     ///
+    /// The repairing walk: [`query_faulted`](Self::query_faulted) under a
+    /// transparent plan, then every timed-out entry is evicted from its
+    /// prober's tables through [`forget_entry`](Self::forget_entry).
+    ///
     /// Total: a dead origin yields a failed outcome with an empty path.
     /// Drivers only issue queries from live origins, so that arm is never
     /// taken in practice.
     pub fn query_with_path(&mut self, from: Id, key: Id) -> (QueryOutcome, Vec<Id>) {
-        self.try_query_with_path(from, key).unwrap_or((
-            QueryOutcome {
-                success: false,
-                hops: 0,
-                failed_probes: 0,
-            },
-            Vec::new(),
-        ))
+        let route = self.query_faulted(from, key, &FaultPlan::transparent(0));
+        for &(prober, dead) in &route.trace.dead_probed {
+            self.forget_entry(prober, dead);
+        }
+        let outcome = QueryOutcome::of(&route);
+        match route.outcome {
+            Err(LookupFailure::OriginDown(_)) => (outcome, Vec::new()),
+            _ => (outcome, route.trace.path),
+        }
     }
 
     /// Route one query **read-only**, resolving each node's auxiliary set
     /// through `aux_of` instead of the installed per-node state. This is
     /// the stable driver's hot path: all measurement passes share one
     /// immutable snapshot (no clone, no `set_aux`), so they can run on
-    /// parallel threads over `&self`. Dead entries probed along the way
-    /// are counted but not repaired; with every node live the walk is
+    /// parallel threads over `&self`. It is
+    /// [`query_with_aux_faults`](Self::query_with_aux_faults) under a
+    /// transparent plan: dead entries probed along the way are counted
+    /// and skipped but not repaired, and with every node live the walk is
     /// identical to `set_aux` + [`query`](Self::query).
     ///
     /// Total like [`query_with_path`](Self::query_with_path): a dead
@@ -300,46 +319,16 @@ impl SimOverlay {
     where
         F: Fn(Id) -> &'a [Id],
     {
-        let routed = match self {
-            SimOverlay::Chord(net) => net
-                .lookup_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-            SimOverlay::Pastry(net) => net
-                .route_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-            SimOverlay::Tapestry(net) => net
-                .route_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-            SimOverlay::SkipGraph(net) => net
-                .search_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-        };
-        match routed {
-            Some((success, hops, failed_probes)) => QueryOutcome {
-                success,
-                hops,
-                failed_probes,
-            },
-            None => QueryOutcome {
-                success: false,
-                hops: 0,
-                failed_probes: 0,
-            },
-        }
+        QueryOutcome::of(&self.query_with_aux_faults(from, key, aux_of, &FaultPlan::transparent(0)))
     }
 
     /// Route one query **read-only** through the fault layer: every
     /// contact goes through `plan`'s probe channel and each node's
     /// auxiliary pointers are resolved via `aux_of` and `plan`'s
-    /// staleness channel. With a transparent plan this is bit-identical
-    /// to [`query_with_aux`](Self::query_with_aux) (the differential
-    /// tests enforce it); with faults the walk degrades per the
-    /// substrate's retry/fallback semantics and reports a full
-    /// [`RouteTrace`](peercache_faults::RouteTrace).
+    /// staleness channel. With a transparent plan this is
+    /// [`query_with_aux`](Self::query_with_aux); with faults the walk
+    /// degrades per the substrate's retry/fallback semantics and reports
+    /// a full [`RouteTrace`](peercache_faults::RouteTrace).
     ///
     /// Total: a substrate-dead or plan-crashed origin yields
     /// [`LookupFailure::OriginDown`](peercache_faults::LookupFailure::OriginDown).
@@ -364,7 +353,7 @@ impl SimOverlay {
 
     /// One arrival of [`query_with_aux_faults`](Self::query_with_aux_faults):
     /// the decision the substrate makes at `current` for `key`, through
-    /// the same per-hop step functions the monolithic walks drive. The
+    /// the same per-hop step functions every walk drives. The
     /// `peercache-node` event loop delivers one arrival per `Lookup`
     /// message; because every fault decision in `plan` is a pure hash,
     /// the resulting probe sequence — and trace — is bit-identical to
@@ -447,37 +436,6 @@ impl SimOverlay {
             SimOverlay::Tapestry(net) => net.forget_neighbor(node, dead),
             SimOverlay::SkipGraph(net) => net.forget_neighbor(node, dead),
         }
-    }
-
-    /// Fallible query routing: `None` when `from` is not live. All the
-    /// overlay-specific result shapes collapse into one outcome here.
-    fn try_query_with_path(&mut self, from: Id, key: Id) -> Option<(QueryOutcome, Vec<Id>)> {
-        let (success, hops, failed_probes, path) = match self {
-            SimOverlay::Chord(net) => {
-                let res = net.lookup(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-            SimOverlay::Pastry(net) => {
-                let res = net.route(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-            SimOverlay::Tapestry(net) => {
-                let res = net.route(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-            SimOverlay::SkipGraph(net) => {
-                let res = net.search(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-        };
-        Some((
-            QueryOutcome {
-                success,
-                hops,
-                failed_probes,
-            },
-            path,
-        ))
     }
 
     /// The validated identifier space the overlay was built over —

@@ -2,7 +2,9 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{
+    walk, FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep,
+};
 use peercache_id::{Id, IdSpace};
 
 use crate::{SearchOutcome, SearchResult};
@@ -400,178 +402,68 @@ impl SkipGraphNetwork {
 
     /// Search for `key` from `from`: clockwise-monotone greedy over level
     /// links and auxiliaries (never overshooting the key), terminating at
-    /// the believed predecessor.
+    /// the believed predecessor. Dead candidates probed along the way are
+    /// forgotten (and counted as failed probes) and the next-closest one
+    /// is tried.
+    ///
+    /// The repairing driver of the single walk: the transparent-plan
+    /// [`search_with_aux_faults`](Self::search_with_aux_faults) over the
+    /// installed auxiliary sets, whose `trace.dead_probed` pairs are then
+    /// evicted through [`forget_neighbor`](Self::forget_neighbor).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
     pub fn search(&mut self, from: Id, key: Id) -> Result<SearchResult, NetworkError> {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let space = self.config.space;
-        let true_owner = self.true_owner(key).expect("non-empty graph");
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            if current == key {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::Success,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            let mut candidates: Vec<Id> = self.nodes[&current.value()]
-                .known_neighbors()
-                .into_iter()
-                .filter(|&w| space.between_open_closed(current, w, key))
-                .collect();
-            candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-            let mut next = None;
-            for w in candidates {
-                if self.is_live(w) {
-                    next = Some(w);
-                    break;
-                }
-                failed_probes += 1;
+        let route = self.search_with_aux_faults(
+            from,
+            key,
+            |id| {
                 self.nodes
-                    .get_mut(&current.value())
-                    .expect("route current node is live")
-                    .forget(w);
-            }
-            match next {
-                Some(w) => {
-                    hops += 1;
-                    path.push(w);
-                    current = w;
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        SearchOutcome::Success
-                    } else {
-                        SearchOutcome::WrongOwner(current)
-                    };
-                    return Ok(SearchResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
+                    .get(&id.value())
+                    .map_or(&[], |n| n.aux.as_slice())
+            },
+            &FaultPlan::transparent(0),
+        )?;
+        for &(prober, dead) in &route.trace.dead_probed {
+            self.forget_neighbor(prober, dead);
         }
-    }
-
-    /// Read-only [`search`](Self::search): auxiliary neighbors come from
-    /// `aux_of` instead of the installed per-node sets, and dead entries
-    /// probed along the way are counted as `failed_probes` but **not**
-    /// forgotten. With every node live — the stable-mode contract — the
-    /// walk is hop-for-hop identical to installing each `aux_of` set via
-    /// [`set_aux`](Self::set_aux) and calling `search`, which lets a
-    /// parallel sweep share one snapshot across threads.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn search_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-    ) -> Result<SearchResult, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let space = self.config.space;
-        // `from` is live, so the graph is non-empty and the key has an
-        // owner; the else-branch is unreachable but typed.
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
+        let outcome = match route.outcome {
+            Ok(_) => SearchOutcome::Success,
+            Err(LookupFailure::HopLimit) => SearchOutcome::HopLimit,
+            // The step ends only in success, a wrong owner or the hop
+            // limit; the dead-end and down-origin arms are unreachable
+            // for a live origin under a transparent plan.
+            Err(
+                LookupFailure::WrongOwner(at)
+                | LookupFailure::DeadEnd(at)
+                | LookupFailure::OriginDown(at),
+            ) => SearchOutcome::WrongOwner(at),
         };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            if current == key {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::Success,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            let mut candidates: Vec<Id> = self.nodes[&current.value()]
-                .known_neighbors_with(aux_of(current))
-                .into_iter()
-                .filter(|&w| space.between_open_closed(current, w, key))
-                .collect();
-            candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-            let mut next = None;
-            for w in candidates {
-                if self.is_live(w) {
-                    next = Some(w);
-                    break;
-                }
-                failed_probes += 1;
-            }
-            match next {
-                Some(w) => {
-                    hops += 1;
-                    path.push(w);
-                    current = w;
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        SearchOutcome::Success
-                    } else {
-                        SearchOutcome::WrongOwner(current)
-                    };
-                    return Ok(SearchResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
+        Ok(SearchResult {
+            outcome,
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+            path: route.trace.path,
+        })
     }
 
-    /// Fault-injected read-only search: every contact goes through
+    /// Search read-only through the fault layer: auxiliary neighbors come
+    /// from `aux_of` (resolved through `plan`'s staleness channel)
+    /// instead of the installed per-node sets, every contact goes through
     /// `plan`'s probe channel (crash/loss/unresponsive with bounded
-    /// retry), auxiliary pointers are resolved through its staleness
-    /// channel, and the walk records everything in a
+    /// retry), and the walk records everything in a
     /// [`RouteTrace`](peercache_faults::RouteTrace).
     ///
-    /// Degradation semantics mirror [`search`](Self::search): candidates
+    /// Degradation semantics are [`search`](Self::search)'s: candidates
     /// that time out are skipped in clockwise-distance order (the walk
     /// is read-only — a repairing caller evicts `trace.dead_probed`
     /// afterwards). Under a non-transparent plan, the first timed-out
     /// **auxiliary-only** candidate at a hop falls the decision back to
-    /// core candidates (`trace.fallbacks`); under a transparent plan the
-    /// walk is bit-identical to
-    /// [`search_with_aux`](Self::search_with_aux).
+    /// core candidates (`trace.fallbacks`). Under a transparent plan this
+    /// is the read-only walk: many sweeps share one immutable snapshot,
+    /// and with every node live it is hop-for-hop identical to installing
+    /// each `aux_of` set via [`set_aux`](Self::set_aux) and calling
+    /// `search`.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
@@ -588,41 +480,23 @@ impl SkipGraphNetwork {
         if !self.nodes.contains_key(&from.value()) {
             return Err(NetworkError::NotPresent(from));
         }
+        // `from` is live, so the graph is non-empty and the key has an
+        // owner; the else-branch is unreachable but typed.
         let Some(true_owner) = self.true_owner(key) else {
             return Err(NetworkError::NotPresent(from));
         };
-        if plan.node_crashed(from) {
-            return Ok(FaultedRoute::origin_down(from));
-        }
-        let mut current = from;
-        let mut trace = RouteTrace::start(from);
-        let mut scratch = StepScratch::new();
-        loop {
-            match self.search_step_faults(
-                current,
-                key,
-                true_owner,
-                &aux_of,
-                plan,
-                &mut trace,
-                &mut scratch,
-            ) {
-                WalkStep::Forward(next) => {
-                    trace.hops += 1;
-                    trace.path.push(next);
-                    current = next;
-                }
-                WalkStep::Done(outcome) => return Ok(FaultedRoute { outcome, trace }),
-            }
-        }
+        Ok(walk(from, plan, |current, trace, scratch| {
+            self.search_step_faults(current, key, true_owner, &aux_of, plan, trace, scratch)
+        }))
     }
 
     /// One arrival of [`search_with_aux_faults`](Self::search_with_aux_faults):
     /// the full decision made at `current` — hop-budget check, staleness
     /// resolution of its cached pointers, candidate ranking, and the
-    /// probe loop — ending in a forward or a terminal outcome. The
-    /// monolithic walk and the `peercache-node` event loop both drive
-    /// this same function, so their probe sequences are bit-identical.
+    /// probe loop — ending in a forward or a terminal outcome. This is
+    /// the skip graph's only routing decision: the read-only walk, the
+    /// repairing [`search`](Self::search) and the `peercache-node` event
+    /// loop all drive it, so their probe sequences are bit-identical.
     ///
     /// The caller owns the hop accounting: on [`WalkStep::Forward`] it
     /// must charge `trace.hops += 1` and extend `trace.path` before the
@@ -655,27 +529,31 @@ impl SkipGraphNetwork {
         let Some(node) = self.nodes.get(&current.value()) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
-        plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
+        let aux = plan.aux_view(space, current, aux_of(current), &mut scratch.aux);
         let mut candidates: Vec<Id> = node
-            .known_neighbors_with(&scratch.aux)
+            .known_neighbors_with(aux)
             .into_iter()
             .filter(|&w| space.between_open_closed(current, w, key))
             .collect();
         candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-        // Sorted core view, for spotting aux-only candidates.
-        let core = node.known_neighbors_with(&[]);
+        // Sorted core view, for spotting aux-only candidates: only the
+        // fallback reads it, so it is built at the first failed probe
+        // under a non-transparent plan.
+        let mut core: Option<Vec<Id>> = None;
         let mut aux_banned = false;
         for w in candidates {
-            let aux_only = core.binary_search(&w).is_err();
-            if aux_banned && aux_only {
+            if aux_banned && core.as_ref().is_some_and(|c| c.binary_search(&w).is_err()) {
                 continue;
             }
             if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
                 return WalkStep::Forward(w);
             }
-            if aux_only && !aux_banned && !plan.is_transparent() {
-                aux_banned = true;
-                trace.fallbacks += 1;
+            if !aux_banned && !plan.is_transparent() {
+                let core = core.get_or_insert_with(|| node.known_neighbors_with(&[]));
+                if core.binary_search(&w).is_err() {
+                    aux_banned = true;
+                    trace.fallbacks += 1;
+                }
             }
         }
         let outcome = if current == true_owner {
@@ -686,10 +564,10 @@ impl SkipGraphNetwork {
         WalkStep::Done(outcome)
     }
 
-    /// Evict `dead` from `id`'s routing structures. The fault-injected
-    /// walks are read-only, so a repairing caller (the churn driver)
-    /// applies their `dead_probed` pairs here afterwards. No-op when
-    /// `id` is not live.
+    /// Evict `dead` from `id`'s routing structures. The walk is
+    /// read-only, so a repairing caller ([`search`](Self::search), the
+    /// churn driver) applies its `dead_probed` pairs here afterwards.
+    /// No-op when `id` is not live.
     pub fn forget_neighbor(&mut self, id: Id, dead: Id) {
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.forget(dead);

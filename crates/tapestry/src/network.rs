@@ -2,7 +2,9 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{
+    walk, FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep,
+};
 use peercache_id::{Id, IdSpace};
 
 use crate::{RouteOutcome, RouteResult};
@@ -370,161 +372,57 @@ impl TapestryNetwork {
         Ok(())
     }
 
-    /// Route a query for `key` from `from`.
+    /// Route a query for `key` from `from`: auxiliary/table shortcut on
+    /// maximal prefix progress first (§III-1), then the surrogate loop. A
+    /// dead next hop is forgotten (and counted as a failed probe) and the
+    /// decision re-runs.
+    ///
+    /// The repairing driver of the single walk: the transparent-plan
+    /// [`route_with_aux_faults`](Self::route_with_aux_faults) over the
+    /// installed auxiliary sets, whose `trace.dead_probed` pairs are then
+    /// evicted through [`forget_neighbor`](Self::forget_neighbor).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
     pub fn route(&mut self, from: Id, key: Id) -> Result<RouteResult, NetworkError> {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
+        let route = self.route_with_aux_faults(
+            from,
+            key,
+            |id| {
+                self.nodes
+                    .get(&id.value())
+                    .map_or(&[], |n| n.aux.as_slice())
+            },
+            &FaultPlan::transparent(0),
+        )?;
+        for &(prober, dead) in &route.trace.dead_probed {
+            self.forget_neighbor(prober, dead);
         }
-        let true_owner = self.true_owner(key).expect("non-empty overlay");
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(RouteResult {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
+        let outcome = match route.outcome {
+            Ok(_) => RouteOutcome::Success,
+            Err(LookupFailure::WrongOwner(at)) => RouteOutcome::WrongOwner(at),
+            Err(LookupFailure::HopLimit) => RouteOutcome::HopLimit,
+            // A live origin under a transparent plan is never down.
+            Err(LookupFailure::DeadEnd(at) | LookupFailure::OriginDown(at)) => {
+                RouteOutcome::DeadEnd(at)
             }
-            match self.next_hop(current, key) {
-                Some(next) if self.is_live(next) => {
-                    hops += 1;
-                    path.push(next);
-                    current = next;
-                }
-                Some(next) => {
-                    failed_probes += 1;
-                    self.nodes
-                        .get_mut(&current.value())
-                        .expect("route current node is live")
-                        .forget(next);
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        RouteOutcome::Success
-                    } else if self.nodes[&current.value()].known_neighbors().is_empty()
-                        && self.len() > 1
-                    {
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Ok(RouteResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Read-only [`route`](Self::route): auxiliary neighbors come from
-    /// `aux_of` instead of the installed per-node sets, and dead entries
-    /// probed along the way are counted as `failed_probes` but **not**
-    /// forgotten. With every node live — the stable-mode contract — the
-    /// walk is hop-for-hop identical to installing each `aux_of` set via
-    /// [`set_aux`](Self::set_aux) and calling `route`, which lets a
-    /// parallel sweep share one snapshot across threads. A dead next hop
-    /// is a hard dead end here (the snapshot cannot repair around it).
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-    ) -> Result<RouteResult, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        // `from` is live, so the overlay is non-empty and the key has an
-        // owner; the else-branch is unreachable but typed.
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
         };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(RouteResult {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            match self.next_hop_with(current, key, aux_of(current)) {
-                Some(next) if self.is_live(next) => {
-                    hops += 1;
-                    path.push(next);
-                    current = next;
-                }
-                Some(_) => {
-                    failed_probes += 1;
-                    return Ok(RouteResult {
-                        outcome: RouteOutcome::DeadEnd(current),
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        RouteOutcome::Success
-                    } else if self.nodes[&current.value()]
-                        .known_neighbors_with(aux_of(current))
-                        .is_empty()
-                        && self.len() > 1
-                    {
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Ok(RouteResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
+        Ok(RouteResult {
+            outcome,
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+            path: route.trace.path,
+        })
     }
 
     /// The forwarding decision at `current`: auxiliary/table shortcut on
     /// maximal prefix progress first (§III-1), then the surrogate loop.
-    /// `None` means `current` believes it is the root.
-    fn next_hop(&self, current: Id, key: Id) -> Option<Id> {
-        self.next_hop_with(current, key, &self.nodes[&current.value()].aux)
-    }
-
-    /// [`next_hop`](Self::next_hop) with `extra` standing in for the
-    /// auxiliary set of `current`.
-    fn next_hop_with(&self, current: Id, key: Id, extra: &[Id]) -> Option<Id> {
-        self.next_hop_excluding(current, key, extra, &[])
-    }
-
-    /// The forwarding decision with `dead` exclusions applied: every
-    /// `(prober, target)` pair with `prober == current` is treated as
-    /// already forgotten. This is how the read-only fault-injected walk
-    /// reproduces the mutating walk's forget-and-retry semantics — the
-    /// mutating walk erases a timed-out entry from `current`'s tables
-    /// and re-decides; this filters it instead. With no exclusions the
-    /// decision is exactly [`next_hop_with`](Self::next_hop_with).
+    /// `None` means `current` believes it is the root. `extra` stands in
+    /// for its auxiliary set, and every `dead` pair `(prober, target)`
+    /// with `prober == current` is treated as already forgotten — how the
+    /// read-only walk reproduces forget-and-retry: a repairing walk would
+    /// erase a timed-out entry from `current`'s tables and re-decide;
+    /// this filters it instead.
     fn next_hop_excluding(
         &self,
         current: Id,
@@ -576,21 +474,23 @@ impl TapestryNetwork {
         None
     }
 
-    /// Fault-injected read-only [`route`](Self::route): every contact
+    /// Route a query read-only through the fault layer: auxiliary
+    /// neighbors come from `aux_of` (resolved through `plan`'s staleness
+    /// channel) instead of the installed per-node sets, every contact
     /// goes through `plan`'s probe channel (crash/loss/unresponsive with
-    /// bounded retry), auxiliary pointers are resolved through its
-    /// staleness channel, and the walk records everything in a
+    /// bounded retry), and the walk records everything in a
     /// [`RouteTrace`](peercache_faults::RouteTrace).
     ///
-    /// Unlike [`route_with_aux`](Self::route_with_aux) — which stops hard
-    /// at the first dead next hop — this mirrors the *mutating* walk's
-    /// degradation semantics: a timed-out hop is excluded (the read-only
-    /// stand-in for `forget`; a repairing caller evicts
-    /// `trace.dead_probed` afterwards) and the decision re-runs. Under a
-    /// non-transparent plan, the first timed-out **auxiliary-only**
-    /// candidate at a node bans the remaining auxiliary pointers there,
-    /// falling back to core routing state (`trace.fallbacks`); under a
-    /// transparent plan the walk is bit-identical to `route_with_aux`.
+    /// Degradation semantics are [`route`](Self::route)'s: a timed-out
+    /// hop is excluded (the read-only stand-in for `forget`; a repairing
+    /// caller evicts `trace.dead_probed` afterwards) and the decision
+    /// re-runs. Under a non-transparent plan, the first timed-out
+    /// **auxiliary-only** candidate at a node bans the remaining
+    /// auxiliary pointers there, falling back to core routing state
+    /// (`trace.fallbacks`). Under a transparent plan this is the
+    /// read-only walk: many sweeps share one immutable snapshot, and it
+    /// is hop-for-hop identical to installing each `aux_of` set via
+    /// [`set_aux`](Self::set_aux) and calling `route`.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
@@ -607,41 +507,23 @@ impl TapestryNetwork {
         if !self.nodes.contains_key(&from.value()) {
             return Err(NetworkError::NotPresent(from));
         }
+        // `from` is live, so the overlay is non-empty and the key has an
+        // owner; the else-branch is unreachable but typed.
         let Some(true_owner) = self.true_owner(key) else {
             return Err(NetworkError::NotPresent(from));
         };
-        if plan.node_crashed(from) {
-            return Ok(FaultedRoute::origin_down(from));
-        }
-        let mut current = from;
-        let mut trace = RouteTrace::start(from);
-        let mut scratch = StepScratch::new();
-        loop {
-            match self.route_step_faults(
-                current,
-                key,
-                true_owner,
-                &aux_of,
-                plan,
-                &mut trace,
-                &mut scratch,
-            ) {
-                WalkStep::Forward(next) => {
-                    trace.hops += 1;
-                    trace.path.push(next);
-                    current = next;
-                }
-                WalkStep::Done(outcome) => return Ok(FaultedRoute { outcome, trace }),
-            }
-        }
+        Ok(walk(from, plan, |current, trace, scratch| {
+            self.route_step_faults(current, key, true_owner, &aux_of, plan, trace, scratch)
+        }))
     }
 
     /// One arrival of [`route_with_aux_faults`](Self::route_with_aux_faults):
     /// the full decision made at `current` — hop-budget check, staleness
     /// resolution of its cached pointers, and the decide/probe loop with
     /// its aux→core fallback — ending in a forward or a terminal outcome.
-    /// The monolithic walk and the `peercache-node` event loop both drive
-    /// this same function, so their probe sequences are bit-identical.
+    /// This is Tapestry's only routing decision: the read-only walk, the
+    /// repairing [`route`](Self::route) and the `peercache-node` event
+    /// loop all drive it, so their probe sequences are bit-identical.
     ///
     /// The caller owns the hop accounting: on [`WalkStep::Forward`] it
     /// must charge `trace.hops += 1` and extend `trace.path` before the
@@ -664,7 +546,7 @@ impl TapestryNetwork {
         if trace.hops >= self.config.hop_limit {
             return WalkStep::Done(Err(LookupFailure::HopLimit));
         }
-        plan.resolve_aux(
+        let aux = plan.aux_view(
             self.config.space,
             current,
             aux_of(current),
@@ -672,7 +554,7 @@ impl TapestryNetwork {
         );
         let mut aux_banned = false;
         loop {
-            let extra: &[Id] = if aux_banned { &[] } else { &scratch.aux };
+            let extra: &[Id] = if aux_banned { &[] } else { aux };
             match self.next_hop_excluding(current, key, extra, &trace.dead_probed) {
                 None => {
                     let excluded = |w: Id| {
@@ -718,10 +600,10 @@ impl TapestryNetwork {
         }
     }
 
-    /// Evict `dead` from `id`'s routing structures. The fault-injected
-    /// walks are read-only, so a repairing caller (the churn driver)
-    /// applies their `dead_probed` pairs here afterwards. No-op when
-    /// `id` is not live.
+    /// Evict `dead` from `id`'s routing structures. The walk is
+    /// read-only, so a repairing caller ([`route`](Self::route), the
+    /// churn driver) applies its `dead_probed` pairs here afterwards.
+    /// No-op when `id` is not live.
     pub fn forget_neighbor(&mut self, id: Id, dead: Id) {
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.forget(dead);
