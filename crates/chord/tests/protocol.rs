@@ -2,6 +2,7 @@
 //! churn staleness, stabilization repair, and auxiliary-neighbor routing.
 
 use peercache_chord::{ChordConfig, ChordNetwork, LookupOutcome};
+use peercache_faults::FaultPlan;
 use peercache_id::{Id, IdSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -274,4 +275,66 @@ fn core_neighbors_feed_the_selection_problem() {
     let mut sorted = core.clone();
     sorted.dedup();
     assert_eq!(sorted.len(), core.len(), "deduplicated");
+}
+
+/// Kill a run of consecutive ring members and do NOT stabilize: the
+/// run's live predecessor keeps dead successors between itself and
+/// every key in the run's arc, and a run longer than the successor list
+/// leaves it knowing no live successor at all.
+///
+/// * A lookup for a key in the dead arc must reach the live true owner,
+///   the run's predecessor, from every live origin.
+/// * Every walk's verdict must be the one its repaired view gives: the
+///   read-only walk's terminal ownership check skips the dead candidates
+///   probed at that arrival, so forgetting `trace.dead_probed` and
+///   walking again must end the same way on the same path.
+#[test]
+fn dead_runs_of_ring_members_keep_the_owner_reachable_and_verdicts_repair_stable() {
+    let plan = FaultPlan::transparent(0);
+    fn no_aux<'a>(_: Id) -> &'a [Id] {
+        &[]
+    }
+    for (seed, run) in [(3, 3), (4, 5), (5, 12)] {
+        let (mut net, mut ids) = random_ring(16, 64, seed);
+        ids.sort();
+        let (head, rest) = ids.split_at(20);
+        let (dead, tail) = rest.split_at(run);
+        for &d in dead {
+            net.fail(d).unwrap();
+        }
+        let owner = *head.last().unwrap();
+        let live: Vec<Id> = head.iter().chain(tail).copied().collect();
+        let inside: Vec<Id> = dead.iter().flat_map(|&d| [d, id(d.value() + 1)]).collect();
+        let beyond: Vec<Id> = (0..4).map(|i| id(tail[0].value() + i)).collect();
+        let mut stranded = 0;
+        for &from in &live {
+            for &key in &inside {
+                assert_eq!(net.true_owner(key), Some(owner));
+                let route = net
+                    .lookup_with_aux_faults(from, key, no_aux, &plan)
+                    .unwrap();
+                assert_eq!(route.outcome, Ok(owner), "run {run}: from {from} key {key}");
+            }
+            for &key in inside.iter().chain(&beyond) {
+                let route = net
+                    .lookup_with_aux_faults(from, key, no_aux, &plan)
+                    .unwrap();
+                let mut repaired = net.clone();
+                let _ = repaired.lookup(from, key).unwrap();
+                let again = repaired
+                    .lookup_with_aux_faults(from, key, no_aux, &plan)
+                    .unwrap();
+                assert_eq!(
+                    again.outcome, route.outcome,
+                    "run {run}: from {from} key {key}"
+                );
+                assert_eq!(again.trace.path, route.trace.path);
+                assert!(again.trace.dead_probed.is_empty());
+                stranded += usize::from(route.outcome.is_err());
+            }
+        }
+        if run > ChordConfig::new(IdSpace::new(16).unwrap()).successor_list_len {
+            assert!(stranded > 0, "run {run}: the regime must strand a walk");
+        }
+    }
 }

@@ -13,10 +13,11 @@
 //! uniform draw over the remaining pool, so exactly `min(k, n)` pointers
 //! are always returned.
 
-use peercache_id::{Id, IdSpace};
+use peercache_id::{Id, IdError, IdSpace};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::clockwise::Clockwise;
 use crate::cost::{chord_cost, pastry_cost};
 use crate::problem::{ChordProblem, PastryProblem, Selection};
 
@@ -39,10 +40,27 @@ pub struct SliceBuckets {
     leftovers: Vec<Id>,
 }
 
+/// Buckets are equal when every slice key holds the same ids in the same
+/// order — when they draw alike. Empty slices and the leftover scratch
+/// do not count.
+impl PartialEq for SliceBuckets {
+    fn eq(&self, other: &Self) -> bool {
+        self.filled().eq(other.filled())
+    }
+}
+
+impl Eq for SliceBuckets {}
+
 impl SliceBuckets {
     /// Empty buckets; they grow to fit on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The non-empty slices with their keys.
+    fn filled(&self) -> impl Iterator<Item = (usize, &Vec<Id>)> {
+        let slices = self.slices.iter().enumerate();
+        slices.filter(|(_, ids)| !ids.is_empty())
     }
 
     /// Empty every bucket, keeping its capacity.
@@ -52,13 +70,108 @@ impl SliceBuckets {
 
     /// Append `id` to the bucket of slice `key`.
     pub fn push(&mut self, key: u32, id: Id) {
+        self.push_run(key, &[id]);
+    }
+
+    /// Append the run `ids`, in order, to the bucket of slice `key`.
+    fn push_run(&mut self, key: u32, ids: &[Id]) {
         let key = usize::try_from(key).map_or(MAX_KEY, |key| key.min(MAX_KEY));
         if self.slices.len() <= key {
             self.slices.resize_with(key + 1, Vec::new);
         }
         if let Some(slice) = self.slices.get_mut(key) {
-            slice.push(id);
+            slice.extend_from_slice(ids);
         }
+    }
+
+    /// Append the members of the sorted run `ids` that are not in the
+    /// sorted `core` to slice `key`, as the runs between core ids.
+    fn push_run_without(&mut self, key: u32, mut ids: &[Id], core: &[Id]) {
+        let Some(&first) = ids.first() else {
+            return;
+        };
+        let from = core.partition_point(|&c| c < first);
+        for &c in core.get(from..).unwrap_or_default() {
+            let at = ids.partition_point(|&v| v < c);
+            if at == ids.len() {
+                break;
+            }
+            let (head, tail) = ids.split_at(at);
+            self.push_run(key, head);
+            ids = match tail.split_first() {
+                Some((&v, rest)) if v == c => rest,
+                _ => tail,
+            };
+        }
+        self.push_run(key, ids);
+    }
+
+    /// Refill the buckets with the Chord slices of `node` over the sorted
+    /// live `ring`, minus `node` and the sorted `core`: slice `i` is the
+    /// clockwise arc `[node + 2^(i−1), node + 2^i)`, i.e. the ids whose
+    /// hop estimate [`IdSpace::chord_hops`] from `node` is `i`.
+    ///
+    /// Each arc is one or two ring ranges found by binary search, copied
+    /// in ascending id order (an arc that wraps past 0 appends its ids
+    /// below `node` first), so the buckets equal a [`push`](Self::push)
+    /// of every candidate in ascending id order. Arcs are visited from
+    /// the widest down and the walk stops at the first arc with nothing
+    /// closer to `node`.
+    pub fn fill_chord_slices(&mut self, space: IdSpace, ring: &[Id], node: Id, core: &[Id]) {
+        self.clear();
+        let ring = Clockwise::new(space, ring, node);
+        let mut hi = ring.len();
+        for key in (1..=u32::from(space.bits())).rev() {
+            let lo = ring.closer(1u128 << (key - 1));
+            for run in ring.runs(lo, hi) {
+                self.push_run_without(key, run, core);
+            }
+            if lo == 0 {
+                break;
+            }
+            hi = lo;
+        }
+    }
+
+    /// Refill the buckets with the Pastry slices of `node` over the sorted
+    /// live `ring`, minus `node` and the sorted `core`: slice `L` is
+    /// `node`'s level-`L` prefix block minus its level-`L+1` block, i.e.
+    /// the ids sharing exactly `L` whole digits with it
+    /// ([`prefix_slice`]).
+    ///
+    /// Each block is a ring range found by binary search, so a slice is
+    /// the two ranges either side of the next block, in ascending id
+    /// order, and the buckets equal a [`push`](Self::push) of every
+    /// candidate in ascending id order. The walk stops once a block
+    /// holds nothing but `node`.
+    ///
+    /// # Errors
+    /// [`IdError::InvalidDigitBits`] when `digit_bits` is not a valid
+    /// digit width for `space`.
+    pub fn fill_prefix_slices(
+        &mut self,
+        space: IdSpace,
+        digit_bits: u8,
+        ring: &[Id],
+        node: Id,
+        core: &[Id],
+    ) -> Result<(), IdError> {
+        let count = space.digit_count(digit_bits)?;
+        self.clear();
+        let mut block = ring;
+        for level in 0..count {
+            let (lo, hi) = prefix_block(space, node, (level + 1).saturating_mul(digit_bits));
+            let start = block.partition_point(|&v| v < lo);
+            let end = block.partition_point(|&v| v <= hi);
+            let key = u32::from(level);
+            self.push_run_without(key, block.get(..start).unwrap_or_default(), core);
+            self.push_run_without(key, block.get(end..).unwrap_or_default(), core);
+            block = block.get(start..end).unwrap_or_default();
+            if block.iter().all(|&v| v == node) {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Draw `k` ids slice-balanced: `⌊k / #slices⌋` (+1 for the first
@@ -70,18 +183,23 @@ impl SliceBuckets {
         if k == 0 {
             return Vec::new();
         }
-        let nslices = self.slices.iter().filter(|s| !s.is_empty()).count();
+        let nslices = self.filled().count();
         let per = k / nslices;
         let extra = k % nslices;
+        let quota = |i: usize| per + usize::from(i < extra);
+        // The quotas sum to `k`, so the leftover pool is drawn from only
+        // when some slice is short of its quota.
+        let short = (self.filled().enumerate()).any(|(i, (_, ids))| ids.len() < quota(i));
         let mut chosen = Vec::with_capacity(k);
         self.leftovers.clear();
         let nonempty = self.slices.iter_mut().filter(|s| !s.is_empty());
         for (i, ids) in nonempty.enumerate() {
-            let quota = per + usize::from(i < extra);
             ids.shuffle(rng);
-            let take = quota.min(ids.len());
+            let take = quota(i).min(ids.len());
             chosen.extend(ids.iter().take(take));
-            self.leftovers.extend(ids.iter().skip(take));
+            if short {
+                self.leftovers.extend(ids.iter().skip(take));
+            }
         }
         if chosen.len() < k {
             self.leftovers.shuffle(rng);
@@ -91,6 +209,14 @@ impl SliceBuckets {
         chosen.sort();
         chosen
     }
+}
+
+/// The id range `[lo, hi]` sharing the first `prefix_bits` bits of `id`
+/// (all of them when `prefix_bits` exceeds the width).
+pub(crate) fn prefix_block(space: IdSpace, id: Id, prefix_bits: u8) -> (Id, Id) {
+    let free = u32::from(space.bits().saturating_sub(prefix_bits));
+    let low = 1u128.checked_shl(free).map_or(u128::MAX, |size| size - 1);
+    (Id::new(id.value() & !low), Id::new(id.value() | low))
 }
 
 /// The Pastry slice of `v` as seen from `source`: the whole digits of

@@ -41,6 +41,14 @@ pub(crate) fn slot_to_u16(value: usize) -> u16 {
     u16::try_from(value).expect("child slots are bounded by arity ≤ 2^16")
 }
 
+/// A count as `f64`, exact below `2^53` (the integers `f64` holds), from
+/// its two 32-bit halves.
+#[inline]
+pub(crate) fn count_to_f64(value: u64) -> f64 {
+    let half = |bits: u64| f64::from(u32::try_from(bits).unwrap_or(u32::MAX));
+    half(value >> 32) * 4_294_967_296.0 + half(value & u64::from(u32::MAX))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,5 +59,8 @@ mod tests {
         assert_eq!(index_to_u32(123_456), 123_456);
         assert_eq!(index_from_u32(u32::MAX), u32::MAX as usize);
         assert_eq!(usize_from_u32(7), 7);
+        for v in [0, 1, u64::from(u32::MAX), 1 << 32, (1 << 53) - 1] {
+            assert_eq!(count_to_f64(v), v as f64);
+        }
     }
 }

@@ -7,6 +7,9 @@
 
 use peercache_id::{Id, IdError, IdSpace};
 
+use crate::baseline::prefix_block;
+use crate::cast::count_to_f64;
+use crate::clockwise::Clockwise;
 use crate::problem::{Candidate, ChordProblem, PastryProblem};
 
 /// Pastry distance estimate `d(v, S)`: the minimum over `w ∈ S` of the
@@ -47,7 +50,7 @@ pub fn chord_set_distance(space: IdSpace, source: Id, v: Id, set: &[Id]) -> u32 
         .unwrap_or(space.max_chord_hops())
 }
 
-fn total_cost<I, F>(candidates: I, mut dist: F) -> f64
+pub(crate) fn total_cost<I, F>(candidates: I, mut dist: F) -> f64
 where
     I: IntoIterator<Item = (Id, f64)>,
     F: FnMut(Id) -> u32,
@@ -80,61 +83,201 @@ pub fn chord_cost(problem: &ChordProblem, aux: &[Id]) -> f64 {
     })
 }
 
-/// [`chord_cost`] in `O(n log m)`: eq. (1) over `(id, weight)`
-/// candidates, with `N ∪ A` given as `neighbors` **sorted by clockwise
-/// distance from `source`**.
+/// [`chord_cost`] of the uniform whole-ring problem, by counting: eq. (1)
+/// at unit weight over the members of the sorted, repeat-free `ring` other than
+/// `source` and the ids of `core`, with `N ∪ A` given as `neighbors`
+/// (a superset of `core`) **sorted by clockwise distance from `source`**.
 ///
-/// The usable neighbors of `v` are a prefix of that order, and the
-/// leftmost-one estimate only shrinks as a neighbor closes in on `v`, so
-/// `d(v)` is read off the last usable one, found by binary search. The
-/// sum runs in candidate order, so the result is bit-identical to
-/// [`chord_cost`] over the same candidates in the same order.
-pub fn chord_cost_sorted<I>(space: IdSpace, source: Id, neighbors: &[Id], candidates: I) -> f64
-where
-    I: IntoIterator<Item = (Id, f64)>,
-{
-    total_cost(candidates, |v| {
-        let dv = space.clockwise_distance(source, v);
-        let usable = neighbors.partition_point(|&w| space.clockwise_distance(source, w) <= dv);
-        usable
-            .checked_sub(1)
-            .and_then(|last| neighbors.get(last))
-            .map_or(space.max_chord_hops(), |&w| space.chord_hops(w, v))
-    })
+/// Each neighbor `w` serves the ring members from it up to the next
+/// neighbor clockwise, at the leftmost-one estimate from `w`; the members
+/// before the first neighbor cost `b`, and the core members, being
+/// neighbors, cost nothing. Each neighbor's arc is cut into its non-empty
+/// leftmost-one bands by binary search, so the work is `O(m · b · log n)`
+/// for `m = |N ∪ A|`, not a pass over the ring.
+/// Every term is an integer, so the sum is exact and order-free: the
+/// result equals [`chord_cost`]'s f64 sum bit for bit while the total
+/// stays below `2^53`, including the float sum of no terms for an empty
+/// candidate set.
+pub fn chord_cost_counted(
+    space: IdSpace,
+    source: Id,
+    ring: &[Id],
+    core: &[Id],
+    neighbors: &[Id],
+) -> f64 {
+    let arcs = Clockwise::new(space, ring, source);
+    let unserved = u64::from(space.max_chord_hops());
+    // Each neighbor's arc starts at the position of its own distance and
+    // runs to the next neighbor's start.
+    let starts = neighbors
+        .iter()
+        .map(|&w| (Some(w), arcs.closer(space.clockwise_distance(source, w))))
+        .chain([(None, arcs.len())]);
+    let (mut server, mut from, mut hops) = (None, 0, 0);
+    for (next, to) in starts {
+        hops += match server {
+            None => unserved * len64(to.saturating_sub(from)),
+            Some(w) => (arcs.runs(from, to).iter())
+                .map(|run| band_hops(space, w, run))
+                .sum(),
+        };
+        (server, from) = (next, to);
+    }
+    let cost = unit_cost(arcs.len(), ring, source, core, hops);
+    #[cfg(feature = "check-invariants")]
+    crate::invariants::assert_counted_cost_matches_direct(ring, source, core, cost, |v| {
+        chord_set_distance(space, source, v, neighbors)
+    });
+    cost
 }
 
-/// [`pastry_cost`] in `O(n log m)`: eq. (1) over `(id, weight)`
-/// candidates, with `N ∪ A` given as `neighbors` **sorted by id**.
+/// `Σ chord_hops(w, v)` over a run whose clockwise distance from `w`
+/// grows along it: each non-empty leftmost-one band `[2^(i−1), 2^i)` is
+/// a sub-run found by binary search, so the work is `O(bands · log len)`.
+fn band_hops(space: IdSpace, w: Id, run: &[Id]) -> u64 {
+    let mut hops = 0;
+    let mut rest = run;
+    while let Some(&v) = rest.first() {
+        let band = space.chord_hops(w, v);
+        let width = match 1u128.checked_shl(band) {
+            Some(end) => rest.partition_point(|&u| space.clockwise_distance(w, u) < end),
+            None => rest.len(),
+        };
+        let (inside, tail) = rest.split_at(width);
+        hops += u64::from(band) * len64(inside.len());
+        rest = tail;
+    }
+    hops
+}
+
+/// [`pastry_cost`] of the uniform whole-ring problem, by counting: eq. (1)
+/// at unit weight over the members of the sorted, repeat-free `ring` other than
+/// `source` and the ids of `core`, with `N ∪ A` given as `neighbors` (a
+/// superset of `core`) **sorted by id**.
 ///
-/// The longest common prefix of `v` with any member of a sorted set is
-/// attained at `v`'s predecessor or successor in it, so `d(v)` needs only
-/// those two. The sum runs in candidate order, so the result is
-/// bit-identical to [`pastry_cost`] over the same candidates in the same
-/// order.
+/// A peer's estimate is the digit count minus the most digits it shares
+/// with a neighbor, so the ring's total of shared digits is, summed over
+/// the levels `L`, the ring members inside the union of the neighbors'
+/// level-`L` prefix blocks. A descent over the sorted neighbors counts
+/// each block by binary search and stops at blocks holding one member,
+/// so the work is `O(m · L* · log n)` for `m = |N ∪ A|` and `L*` the
+/// level at which blocks thin out to one member (about `log n / d`
+/// levels of `d`-bit digits), not a pass over the ring. The result
+/// equals [`pastry_cost`]'s f64 sum bit for bit for the reasons given at
+/// [`chord_cost_counted`].
 ///
 /// # Errors
 /// [`IdError::InvalidDigitBits`] when `digit_bits` is not a valid digit
 /// width for `space`.
-pub fn pastry_cost_sorted<I>(
+pub fn pastry_cost_counted(
     space: IdSpace,
     digit_bits: u8,
+    source: Id,
+    ring: &[Id],
+    core: &[Id],
     neighbors: &[Id],
-    candidates: I,
-) -> Result<f64, IdError>
-where
-    I: IntoIterator<Item = (Id, f64)>,
-{
-    let count = u32::from(space.digit_count(digit_bits)?);
-    Ok(total_cost(candidates, |v| {
-        let at = neighbors.partition_point(|&w| w < v);
-        let before = at.checked_sub(1).and_then(|i| neighbors.get(i));
-        [before, neighbors.get(at)]
+) -> Result<f64, IdError> {
+    let count = space.digit_count(digit_bits)?;
+    let blocks = Blocks {
+        space,
+        digit_bits,
+        count,
+    };
+    let source_in_ring = ring.binary_search(&source).is_ok();
+    let members = ring.len() - usize::from(source_in_ring);
+    // Σ over the members of the most digits shared with a neighbor: the
+    // whole ring's, less the source's own.
+    let own = if source_in_ring {
+        u64::from(blocks.most_shared(source, neighbors))
+    } else {
+        0
+    };
+    let shared = blocks.shared_digits(0, neighbors, ring).saturating_sub(own);
+    let hops = (u64::from(count) * len64(members)).saturating_sub(shared);
+    let cost = unit_cost(members, ring, source, core, hops);
+    #[cfg(feature = "check-invariants")]
+    crate::invariants::assert_counted_cost_matches_direct(ring, source, core, cost, |v| {
+        pastry_set_distance(space, digit_bits, v, neighbors)
+    });
+    Ok(cost)
+}
+
+/// The prefix blocks of one Pastry digit width.
+struct Blocks {
+    space: IdSpace,
+    digit_bits: u8,
+    count: u8,
+}
+
+impl Blocks {
+    /// The most whole digits `v` shares with a member of the sorted
+    /// `set`: the longest common prefix with a sorted set is attained at
+    /// `v`'s predecessor or successor in it.
+    fn most_shared(&self, v: Id, set: &[Id]) -> u8 {
+        let at = set.partition_point(|&w| w < v);
+        let before = at.checked_sub(1).and_then(|i| set.get(i));
+        [before, set.get(at)]
             .into_iter()
             .flatten()
-            .filter_map(|&w| space.pastry_hops(v, w, digit_bits).ok())
-            .min()
-            .unwrap_or(count)
-    }))
+            .filter_map(|&w| {
+                (self.space)
+                    .common_prefix_digits(v, w, self.digit_bits)
+                    .ok()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `Σ_v (most_shared(v, group) − level)` over the sorted `members`,
+    /// where `group` (sorted; empty shares nothing) and `members` lie in one
+    /// level-`level` block: each level past `level` at which `v` sits in
+    /// the prefix block of a `group` id counts once.
+    fn shared_digits(&self, level: u8, group: &[Id], members: &[Id]) -> u64 {
+        if level >= self.count {
+            return 0;
+        }
+        match members {
+            [] => return 0,
+            [v] => return u64::from(self.most_shared(*v, group).saturating_sub(level)),
+            _ => {}
+        }
+        let bits = (level + 1).saturating_mul(self.digit_bits);
+        let mut shared = 0;
+        let mut rest = group;
+        while let Some(&w) = rest.first() {
+            let (lo, hi) = prefix_block(self.space, w, bits);
+            let (sub, tail) = rest.split_at(rest.partition_point(|&u| u <= hi));
+            let start = members.partition_point(|&v| v < lo);
+            let end = members.partition_point(|&v| v <= hi);
+            let inside = members.get(start..end).unwrap_or_default();
+            shared += len64(inside.len()) + self.shared_digits(level + 1, sub, inside);
+            rest = tail;
+        }
+        shared
+    }
+}
+
+/// Eq. (1) at unit weight from the ring-wide hop total: the candidates
+/// are the `members` (the ring without `source`) minus the distinct core
+/// ids in the ring other than `source`, each costing `1 + d`; a core
+/// member's `d` is 0, so `hops` over the members is also the total over
+/// the candidates.
+fn unit_cost(members: usize, ring: &[Id], source: Id, core: &[Id], hops: u64) -> f64 {
+    let live_core = (core.iter().enumerate())
+        .filter(|&(i, c)| {
+            *c != source && !core.iter().take(i).any(|d| d == c) && ring.binary_search(c).is_ok()
+        })
+        .count();
+    let candidates = members.saturating_sub(live_core);
+    if candidates == 0 {
+        // The direct evaluators' float sum of no terms.
+        return std::iter::empty::<f64>().sum();
+    }
+    count_to_f64(len64(candidates) + hops)
+}
+
+fn len64(len: usize) -> u64 {
+    u64::try_from(len).unwrap_or(u64::MAX)
 }
 
 /// Whether every QoS delay bound in `candidates` is met by `N ∪ A` under

@@ -14,7 +14,10 @@
 //!   in the optimal `j` pointers (§IV-B), the property the greedy trie
 //!   algorithm's correctness rests on;
 //! * **Greedy vs. full-DP agreement** — the greedy §IV-B optimiser must
-//!   match the reference §IV-A dynamic program's optimal cost.
+//!   match the reference §IV-A dynamic program's optimal cost;
+//! * **Counted vs. direct eq. (1)** — the ring-counted baseline costs
+//!   must equal the term-by-term evaluator over the explicit candidate
+//!   list, bit for bit.
 //!
 //! All checks are `debug_assert!`-based, so a release build with the
 //! feature enabled still compiles them away; the expensive cross-solves
@@ -26,6 +29,7 @@ use peercache_id::Id;
 
 use crate::chord::naive::{solve_naive, DpResult};
 use crate::chord::ring::RingView;
+use crate::cost::total_cost;
 use crate::problem::{PastryProblem, Selection};
 
 /// Largest candidate count for which the fast Chord DP is re-solved with
@@ -140,4 +144,32 @@ pub(crate) fn assert_greedy_matches_dp(problem: &PastryProblem, greedy: &Selecti
             reference.aux,
         );
     }
+}
+
+/// Check that a ring-counted eq. (1) value (`cost::*_cost_counted`)
+/// equals the direct evaluator over the explicit candidate list — the
+/// members of `ring` other than `source` and the ids of `core`, at unit
+/// weight, in ascending id order — to the bit, with `dist` the direct
+/// distance estimate to `N ∪ A`.
+pub(crate) fn assert_counted_cost_matches_direct<F>(
+    ring: &[Id],
+    source: Id,
+    core: &[Id],
+    counted: f64,
+    dist: F,
+) where
+    F: FnMut(Id) -> u32,
+{
+    let candidates = ring
+        .iter()
+        .filter(|&&v| v != source && !core.contains(&v))
+        .map(|&v| (v, 1.0));
+    let direct = total_cost(candidates, dist);
+    debug_assert_eq!(
+        counted.to_bits(),
+        direct.to_bits(),
+        "counted eq. (1) cost {counted} disagrees with the direct evaluator's {direct} \
+         (source {source}, {} ring members)",
+        ring.len(),
+    );
 }

@@ -28,6 +28,7 @@
 //! | [`chord::select_naive`] | Chord | ring DP (§V-A) | `O(n²·k)` |
 //! | [`chord::select_fast`] | Chord | oracle + concave DP (§V-B) | `O(n·(b + k·log n)·log n)` |
 //! | [`baseline::pastry_oblivious`], [`baseline::chord_oblivious`] | both | frequency-oblivious baseline (§VI-A) | `O(n)` draw + direct eq. 1 cost |
+//! | [`baseline::SliceBuckets::fill_chord_slices`], [`baseline::SliceBuckets::fill_prefix_slices`] + [`cost::chord_cost_counted`], [`cost::pastry_cost_counted`] | both | the same baseline over a sorted live ring (`c` core ids, `m = \|N ∪ A\|`) | `O((b + c)·log n)` range bucketing, `O(n)` copy and draw, `O(m·b·log n)` counted cost |
 //! | [`exhaustive::pastry_exhaustive`], [`exhaustive::chord_exhaustive`] | both | brute force (validation) | exponential |
 //!
 //! Every solver honours optional per-candidate **QoS delay bounds**
@@ -61,6 +62,7 @@
 pub mod baseline;
 pub(crate) mod cast;
 pub mod chord;
+mod clockwise;
 pub mod cost;
 pub mod exhaustive;
 #[cfg(feature = "check-invariants")]

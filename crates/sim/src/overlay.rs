@@ -3,12 +3,12 @@
 //! frequency-aware and frequency-oblivious selection algorithms.
 
 use peercache_chord::{ChordConfig, ChordNetwork};
-use peercache_core::baseline::{self, SliceBuckets};
+use peercache_core::baseline::SliceBuckets;
 use peercache_core::{chord, cost, pastry, Candidate, ChordProblem, PastryProblem};
 use peercache_core::{SelectError, Selection};
 use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
 use peercache_freq::FrequencySnapshot;
-use peercache_id::{Id, IdSpace};
+use peercache_id::{Id, IdError, IdSpace};
 use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
 use peercache_skipgraph::{SkipGraphConfig, SkipGraphNetwork};
 use peercache_tapestry::{TapestryConfig, TapestryNetwork};
@@ -110,16 +110,6 @@ impl ObliviousPool {
     pub(crate) fn refresh(&mut self, overlay: &SimOverlay) {
         self.ring = overlay.live_ids();
     }
-}
-
-/// The uniform candidate pool of `node`: `ring` (sorted) minus `node` and
-/// minus `core` (sorted), in ascending id order, by a merge.
-fn ring_candidates<'a>(ring: &'a [Id], node: Id, core: &'a [Id]) -> impl Iterator<Item = Id> + 'a {
-    let mut core = core.iter().copied().peekable();
-    ring.iter().copied().filter(move |&v| {
-        while core.next_if(|&c| c < v).is_some() {}
-        v != node && core.next_if_eq(&v).is_none()
-    })
 }
 
 /// A live overlay instance of any supported kind.
@@ -587,16 +577,17 @@ impl SimOverlay {
     /// [`select_oblivious_uniform`](Self::select_oblivious_uniform) over a
     /// pool whose ring is this overlay's current live ring.
     ///
-    /// One `O(n)` scan of the ring buckets every candidate by its slice
-    /// key — the hop estimate from `node` for Chord and skip graphs, the
-    /// shared digits for Pastry and Tapestry — skipping `node` and its
-    /// core by a merge against the sorted core. The draw is the shared
-    /// [`SliceBuckets`] kernel, and the cost is evaluated in
-    /// `O(n log m)` by the sorted-neighbor evaluators of
-    /// [`peercache_core::cost`]. Candidates are pushed and summed in
-    /// ascending id order, so aux sets, RNG consumption and cost bits
-    /// equal those of `baseline::{chord,pastry}_oblivious` on the
-    /// uniform whole-ring problem.
+    /// The candidates are the ring minus `node` and its core, read by
+    /// ranges: each distance slice — a clockwise arc `[2^(i−1), 2^i)` for
+    /// Chord and skip graphs, a prefix block minus the next for Pastry
+    /// and Tapestry — is one or two ring ranges found by binary search
+    /// and copied into the [`SliceBuckets`] draw kernel. The cost is
+    /// counted by the ring evaluators of [`peercache_core::cost`], per
+    /// neighbor arc or prefix block. The buckets hold the candidates in
+    /// ascending id order per slice and the counted cost is exact, so aux
+    /// sets, RNG consumption and cost bits equal those of
+    /// `baseline::{chord,pastry}_oblivious` on the uniform whole-ring
+    /// problem.
     pub(crate) fn select_oblivious_pooled<R: Rng + ?Sized>(
         &self,
         pool: &mut ObliviousPool,
@@ -620,31 +611,30 @@ impl SimOverlay {
             }
         };
         core.sort_unstable();
+        let invalid = |e: IdError| SelectError::InvalidProblem(e.to_string());
 
-        pool.buckets.clear();
-        for v in ring_candidates(&pool.ring, node, &core) {
-            let key = match digit_bits {
-                None => space.chord_hops(node, v),
-                Some(d) => baseline::prefix_slice(space, d, node, v),
-            };
-            pool.buckets.push(key, v);
+        let buckets = &mut pool.buckets;
+        match digit_bits {
+            None => buckets.fill_chord_slices(space, &pool.ring, node, &core),
+            Some(d) => buckets
+                .fill_prefix_slices(space, d, &pool.ring, node, &core)
+                .map_err(invalid)?,
         }
-        let aux = pool.buckets.draw(k, rng);
+        let aux = buckets.draw(k, rng);
 
         pool.neighbors.clear();
         pool.neighbors.extend_from_slice(&core);
         pool.neighbors.extend_from_slice(&aux);
-        let uniform = ring_candidates(&pool.ring, node, &core).map(|v| (v, 1.0));
         let cost = match digit_bits {
             None => {
                 pool.neighbors
                     .sort_unstable_by_key(|&w| space.clockwise_distance(node, w));
-                cost::chord_cost_sorted(space, node, &pool.neighbors, uniform)
+                cost::chord_cost_counted(space, node, &pool.ring, &core, &pool.neighbors)
             }
             Some(d) => {
                 pool.neighbors.sort_unstable();
-                cost::pastry_cost_sorted(space, d, &pool.neighbors, uniform)
-                    .map_err(|e| SelectError::InvalidProblem(e.to_string()))?
+                cost::pastry_cost_counted(space, d, node, &pool.ring, &core, &pool.neighbors)
+                    .map_err(invalid)?
             }
         };
         Ok(Selection { aux, cost })

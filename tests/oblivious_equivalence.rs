@@ -106,9 +106,13 @@ fn ks(live: usize) -> [usize; 4] {
 }
 
 fn build(kind: OverlayKind, seed: u64) -> (SimOverlay, IdSpace, Vec<Id>) {
+    build_n(kind, NODES, seed)
+}
+
+fn build_n(kind: OverlayKind, nodes: usize, seed: u64) -> (SimOverlay, IdSpace, Vec<Id>) {
     let space = IdSpace::paper();
     let mut rng = StdRng::seed_from_u64(seed);
-    let ids = random_ids(space, NODES, &mut rng);
+    let ids = random_ids(space, nodes, &mut rng);
     (SimOverlay::build(kind, space, &ids, &mut rng), space, ids)
 }
 
@@ -141,6 +145,19 @@ fn half_failed_rings_with_dead_core_entries_draw_identically() {
         assert!(dead_in_core, "{kind:?}: the regime needs dead core entries");
         for k in ks(live.len()) {
             assert_equivalent(&overlay, space, k, 11 + k as u64);
+        }
+    }
+}
+
+#[test]
+fn rings_of_one_two_and_three_nodes_draw_identically() {
+    for (i, kind) in kinds().into_iter().enumerate() {
+        for nodes in 1..=3 {
+            let (overlay, space, _) = build_n(kind, nodes, 120 + 3 * i as u64 + nodes as u64);
+            assert_eq!(overlay.live_ids().len(), nodes);
+            for k in ks(nodes) {
+                assert_equivalent(&overlay, space, k, 13 + k as u64);
+            }
         }
     }
 }
