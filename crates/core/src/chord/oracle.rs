@@ -88,27 +88,75 @@ impl AnchorTables {
         }
     }
 
+    /// Fill the tables for `anchors` (ascending, as `dist` and
+    /// `core_dist` are). Level `r` counts the candidates within reach
+    /// `a + 2^r − 1`; a candidate at distance `d > a` enters at level
+    /// `bitlen(d − a)`. So the walk jumps from one *gaining* level to the
+    /// next: it reads the level at which the first candidate still out of
+    /// reach enters, finds that level's count by galloping forward
+    /// ([`count_through`]), and repeats the previous entry for the levels
+    /// in between. The counts are the partition points a binary search
+    /// per level finds, and each gaining level adds the same
+    /// `r·(prefix_w[count] − prefix_w[prev])` term to `acc`; on the
+    /// skipped levels that term was `r·(+0.0)`, which leaves `acc`
+    /// (never `−0.0`) unchanged. `check-invariants` recomputes both
+    /// tables level by level.
     fn rebuild(&mut self, ring: &RingView, anchors: &[u128]) {
         self.pcount.clear();
         self.wsum.clear();
+        let dist = &ring.dist;
+        let mut first = 0;
         for &a in anchors {
-            let mut prev_count = ring.dist.partition_point(|&d| d <= a);
-            self.pcount.push(cast::index_to_u32(prev_count));
-            self.wsum.push(0.0);
+            first = count_through(dist, first, a);
+            let mut count = first;
             let mut acc = 0.0;
-            for r in 1..=ring.bits {
+            let mut level = 0;
+            self.pcount.push(cast::index_to_u32(count));
+            self.wsum.push(acc);
+            while let Some(&next_out) = dist.get(count) {
+                let r = bitlen(next_out - a);
+                self.repeat(count, acc, r - level - 1);
                 let span = if r >= 128 {
                     u128::MAX
                 } else {
                     (1u128 << r) - 1
                 };
-                let reach = a.saturating_add(span);
-                let count = ring.dist.partition_point(|&d| d <= reach);
-                acc += f64::from(r) * (ring.prefix_w[count] - ring.prefix_w[prev_count]);
+                let next = count_through(dist, count + 1, a.saturating_add(span));
+                acc += f64::from(r) * (ring.prefix_w[next] - ring.prefix_w[count]);
+                count = next;
+                level = r;
                 self.pcount.push(cast::index_to_u32(count));
                 self.wsum.push(acc);
-                prev_count = count;
             }
+            self.repeat(count, acc, ring.bits - level);
+        }
+    }
+
+    /// Append `levels` more entries equal to `(count, acc)`.
+    fn repeat(&mut self, count: usize, acc: f64, levels: u32) {
+        let len = self.pcount.len() + cast::usize_from_u32(levels);
+        self.pcount.resize(len, cast::index_to_u32(count));
+        self.wsum.resize(len, acc);
+    }
+}
+
+/// `dist.partition_point(|&d| d <= reach)` for ascending `dist`, given
+/// that the answer is at least `from`: gallop forward from `from`, then
+/// binary-search the last stride — `O(log gap)` instead of `O(log n)`.
+fn count_through(dist: &[u128], from: usize, reach: u128) -> usize {
+    // Invariant: every entry of `dist[..lo]` is within reach.
+    let mut lo = from;
+    let mut step = 1;
+    loop {
+        let hi = (lo + step).min(dist.len());
+        if hi == lo {
+            return lo;
+        }
+        if dist[hi - 1] <= reach {
+            lo = hi;
+            step *= 2;
+        } else {
+            return lo + dist[lo..hi - 1].partition_point(|&d| d <= reach);
         }
     }
 }
@@ -213,10 +261,40 @@ impl SegmentOracle {
         }
     }
 
-    /// Cross-check the merge-walk partition tables against the binary
-    /// searches they replace.
+    /// Cross-check the merge-walk partition tables and the galloped
+    /// anchor counts against the binary searches they replace.
     #[cfg(feature = "check-invariants")]
     fn assert_partition_tables_match_search(&self, ring: &RingView) {
+        for (tables, anchors) in [(&self.cand, &ring.dist), (&self.core, &ring.core_dist)] {
+            for (i, &a) in anchors.iter().enumerate() {
+                let mut prev = 0;
+                let mut acc = 0.0;
+                for r in 0..=ring.bits {
+                    let reach = match r {
+                        0 => a,
+                        128.. => a.saturating_add(u128::MAX),
+                        _ => a.saturating_add((1u128 << r) - 1),
+                    };
+                    let reference = ring.dist.partition_point(|&d| d <= reach);
+                    if r > 0 {
+                        acc += f64::from(r) * (ring.prefix_w[reference] - ring.prefix_w[prev]);
+                    }
+                    prev = reference;
+                    let at = i * self.stride + cast::usize_from_u32(r);
+                    let got = tables.pcount[at];
+                    debug_assert!(
+                        cast::index_from_u32(got) == reference,
+                        "anchor {i} level {r}: count {got} disagrees with partition_point {reference}",
+                    );
+                    debug_assert_eq!(
+                        tables.wsum[at].to_bits(),
+                        acc.to_bits(),
+                        "anchor {i} level {r}: wsum {} disagrees with the per-level sum {acc}",
+                        tables.wsum[at],
+                    );
+                }
+            }
+        }
         for (r, &d) in ring.dist.iter().enumerate() {
             let reference = ring.core_dist.partition_point(|&cd| cd <= d);
             debug_assert!(

@@ -23,10 +23,10 @@
 //! | Function | System | Algorithm | Complexity |
 //! |----------|--------|-----------|------------|
 //! | [`pastry::select_dp`] | Pastry | trie DP (§IV-A) | `O(n·k²·b)` |
-//! | [`pastry::select_greedy`] | Pastry | greedy trie DP (§IV-B) | `O(n·k·b)` |
+//! | [`pastry::select_greedy`] | Pastry | greedy trie DP (§IV-B) | `O(n·k·b)`; on the path-compressed trie `O(n·(k·2^d + ⌈b/d⌉))` |
 //! | [`pastry::PastryOptimizer`] | Pastry | incremental (§IV-C) | `O(k·b)` per change |
 //! | [`chord::select_naive`] | Chord | ring DP (§V-A) | `O(n²·k)` |
-//! | [`chord::select_fast`] | Chord | oracle + concave DP (§V-B) | `O(n·(b + k·log n)·log n)` |
+//! | [`chord::select_fast`] | Chord | oracle + concave DP (§V-B) | oracle `O(n·b)` plus a galloping search per reach level that gains candidates (worst case `O(n·b·log n)`), layers `O(n·k·log² n)` |
 //! | [`baseline::pastry_oblivious`], [`baseline::chord_oblivious`] | both | frequency-oblivious baseline (§VI-A) | `O(n)` draw + direct eq. 1 cost |
 //! | [`baseline::SliceBuckets::fill_chord_slices`], [`baseline::SliceBuckets::fill_prefix_slices`] + [`cost::chord_cost_counted`], [`cost::pastry_cost_counted`] | both | the same baseline over a sorted live ring (`c` core ids, `m = \|N ∪ A\|`) | `O((b + c)·log n)` range bucketing, `O(n)` copy and draw, `O(m·b·log n)` counted cost |
 //! | [`exhaustive::pastry_exhaustive`], [`exhaustive::chord_exhaustive`] | both | brute force (validation) | exponential |

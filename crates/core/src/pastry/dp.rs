@@ -71,17 +71,26 @@ fn solve(trie: &Trie, v: u32, k: usize) -> Table {
     let mut acc = Table::with_budget(k);
     acc.costs[0] = 0.0;
     for (_, c) in trie.children_of(v) {
-        let child = solve(trie, c, k);
+        let mut child = solve(trie, c, k);
         let cv = trie.vertex(c);
         // Effective child cost with the eq.-2 edge-indicator term.
-        let d_child = |t: usize| -> f64 {
-            let edge = if t == 0 && cv.core_count == 0 {
+        let edge = |t: usize| -> f64 {
+            if t == 0 && cv.core_count == 0 {
                 cv.weight
             } else {
                 0.0
-            };
-            child.costs[t] + edge
+            }
         };
+        // Each unary level folded into the edge above `c` is a one-child
+        // merge: `0.0 + D(j)` for every finite `j`, same achieving sets.
+        for _ in 0..trie.folded_levels(c) {
+            for (j, cost) in child.costs.iter_mut().enumerate() {
+                if cost.is_finite() {
+                    *cost = 0.0 + (*cost + edge(j));
+                }
+            }
+        }
+        let d_child = |t: usize| -> f64 { child.costs[t] + edge(t) };
         let mut next = Table::with_budget(k);
         for j in 0..=k {
             for i in 0..=j {

@@ -153,6 +153,15 @@ impl PastryOptimizer {
         self.stack_scratch = stack;
     }
 
+    /// Refresh after [`Trie::insert_leaf`]: the vertex whose edge the
+    /// branch point shortened (off the new leaf's path), then the path.
+    fn resolve_inserted(&mut self, (leaf, sibling): (u32, Option<u32>)) {
+        if let Some(s) = sibling {
+            self.resolve_vertex(s);
+        }
+        self.resolve_path(leaf);
+    }
+
     fn resolve_path(&mut self, from: u32) {
         let mut v = from;
         while v != NONE {
@@ -181,12 +190,14 @@ impl PastryOptimizer {
             };
             vert.impossible = vert.req > vert.cand_count;
             let cap = k.min(vert.cand_count);
+            vert.lo = 0;
             vert.costs.clear();
             vert.alloc.clear();
             if !(vert.impossible || vert.req > cap) {
                 vert.costs.resize(cast::usize_from_u32(cap) + 1, 0.0);
                 vert.alloc.resize(cast::usize_from_u32(cap), 0);
             }
+            self.replay_edge(v);
             return;
         }
 
@@ -229,16 +240,9 @@ impl PastryOptimizer {
             return;
         }
 
-        // Effective child cost: D_c(t) = C(T_c, t) + F(T_c)·[t = 0 ∧ no
-        // core neighbor in T_c] (the edge-indicator term of eq. 2).
         let d_of = |trie: &Trie, c: u32, t: u32| -> f64 {
             let cv = trie.vertex(c);
-            let edge = if t == 0 && cv.core_count == 0 {
-                cv.weight
-            } else {
-                0.0
-            };
-            cv.cost_at(t) + edge
+            edge_cost(cv.cost_at(t), t, cv.weight, cv.core_count)
         };
 
         // Force each child's requirement, then greedily interleave gains.
@@ -295,11 +299,64 @@ impl PastryOptimizer {
         vert.core_count = core_count;
         vert.base = base;
         vert.req = req;
+        vert.lo = base;
         vert.impossible = false;
         vert.costs = costs;
         vert.alloc = alloc;
         self.child_scratch = children;
         self.t_scratch = t_child;
+        self.replay_edge(v);
+    }
+
+    /// Re-price `v`'s curve through the unary digit levels folded into
+    /// the edge above it, level by level, exactly as the uncompressed
+    /// trie resolved each one. A unary vertex forces its child's
+    /// requirement and takes every greedy step in that child, so one
+    /// level maps the curve `C` to `C'(req) = 0.0 + D(req)` and
+    /// `C'(t) = C'(t − 1) − (D(t − 1) − D(t))`, with
+    /// `D(t) = C(t) + F·[t = 0 ∧ no core]`, in the same float order.
+    /// Aggregates, `req` and `impossible` pass through unchanged; a
+    /// requirement above the cap empties the curve, as it did there.
+    /// (The unary vertex's `0.0 + F` is skipped: it differs from `F` only
+    /// at `−0.0`, and no cost is ever `−0.0`, so every sum keeps its bits.)
+    fn replay_edge(&mut self, v: u32) {
+        let levels = self.trie.folded_levels(v);
+        if levels == 0 {
+            return;
+        }
+        let vert = self.trie.vertex_mut(v);
+        let Some(cap) = vert.cap() else {
+            return;
+        };
+        if vert.req > cap {
+            vert.costs.clear();
+            return;
+        }
+        let (req, weight, core_count) = (vert.req, vert.weight, vert.core_count);
+        for _ in 0..levels {
+            // Only the first level can start above `lo` (a marked
+            // vertex's forced pointer); later ones start at `req`.
+            let shift = cast::usize_from_u32(req - vert.lo);
+            let costs = &mut vert.costs;
+            let len = costs.len();
+            let mut prev = edge_cost(costs[shift], req, weight, core_count);
+            let mut cost = 0.0;
+            cost += prev;
+            costs[0] = cost;
+            for i in 1..len - shift {
+                let d = edge_cost(
+                    costs[shift + i],
+                    req + cast::index_to_u32(i),
+                    weight,
+                    core_count,
+                );
+                cost -= prev - d;
+                costs[i] = cost;
+                prev = d;
+            }
+            costs.truncate(len - shift);
+            vert.lo = req;
+        }
     }
 
     // ---- extraction ------------------------------------------------------
@@ -499,10 +556,10 @@ impl PastryOptimizer {
                 cand.id
             )));
         }
-        let v = self
+        let inserted = self
             .trie
             .insert_leaf(cand.id, cand.weight, false, cand.max_hops)?;
-        self.resolve_path(v);
+        self.resolve_inserted(inserted);
         Ok(())
     }
 
@@ -539,8 +596,8 @@ impl PastryOptimizer {
                 "core neighbor {id} equals the source node"
             )));
         }
-        let v = self.trie.insert_leaf(id, 0.0, true, None)?;
-        self.resolve_path(v);
+        let inserted = self.trie.insert_leaf(id, 0.0, true, None)?;
+        self.resolve_inserted(inserted);
         Ok(())
     }
 
@@ -564,6 +621,17 @@ impl PastryOptimizer {
         self.resolve_path(survivor);
         Ok(())
     }
+}
+
+/// Effective child cost `D(t) = C(T_c, t) + F(T_c)·[t = 0 ∧ no core
+/// neighbor in T_c]`: the edge-indicator term of eq. 2.
+fn edge_cost(cost: f64, t: u32, weight: f64, core_count: u32) -> f64 {
+    let edge = if t == 0 && core_count == 0 {
+        weight
+    } else {
+        0.0
+    };
+    cost + edge
 }
 
 /// A reusable §IV-B solver: owns the trie slab, the per-vertex solver

@@ -475,6 +475,10 @@ fn skip_gated_statement(toks: &[Tok], i: &mut usize) {
     }
 }
 
+/// Keywords after which a `[` opens a slice *pattern* (`let [a, b] = …`,
+/// `if let [v] = xs`) or a slice *type* (`&mut [u8]`), never an index.
+const NON_INDEX_KEYWORDS: [&str; 3] = ["as", "let", "mut"];
+
 /// True when the `[` at `i` opens an index expression: preceded by an
 /// identifier or a closing `)`/`]`, and not the total `[..]` full-range
 /// slice.
@@ -483,7 +487,7 @@ fn is_index_site(toks: &[Tok], i: usize) -> bool {
         Some(TokKind::Ident(s)) => {
             // A lifetime (`&'a [Id]`) is slice-type syntax, not a value.
             !CALL_KEYWORDS.contains(&s.as_str())
-                && s != "as"
+                && !NON_INDEX_KEYWORDS.contains(&s.as_str())
                 && punct_at(toks, i.wrapping_sub(2)) != Some('\'')
         }
         Some(TokKind::Punct(')' | ']')) => true,

@@ -205,6 +205,33 @@ fn index_expressions_fire_l10_but_full_range_slices_do_not() {
     assert_eq!(lines, [3], "only the real index, not `[..]`: {found:?}");
 }
 
+#[test]
+fn slice_patterns_after_let_are_not_index_sites() {
+    let f = file(
+        "crates/ix/src/lib.rs",
+        "pub fn walk(xs: &[u8], out: &mut [u8], i: usize) -> u8 {\n\
+         if let [v] = xs {\n\
+         return *v;\n\
+         }\n\
+         while let [a, b, ..] = out {\n\
+         return *a + *b;\n\
+         }\n\
+         let [first, second] = [xs.len(), i];\n\
+         let _ = (first, second);\n\
+         xs[i]\n\
+         }\n",
+    );
+    let graph = CallGraph::build(&[f]);
+    let roots = parse_roots("L10 crates/ix/src/lib.rs walk\n").expect("roots parse");
+    let found = check_reachability(&graph, &roots).expect("roots resolve");
+    let lines: Vec<usize> = found.iter().map(|(_, v)| v.line).collect();
+    assert_eq!(
+        lines,
+        [10],
+        "only the real index, not the patterns: {found:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // lint.roots parsing and binding.
 // ---------------------------------------------------------------------

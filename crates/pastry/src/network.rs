@@ -99,6 +99,21 @@ fn encounter_score(owner: Id, entry: Id) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The node of `block` a table owned by `owner` ends up holding: the
+/// first in ascending id order with the smallest [`encounter_score`].
+fn first_encountered(owner: Id, block: &[u128]) -> Option<Id> {
+    let mut best = None;
+    let mut best_score = 0;
+    for &key in block {
+        let score = encounter_score(owner, Id::new(key));
+        if best.is_none() || score < best_score {
+            best = Some(Id::new(key));
+            best_score = score;
+        }
+    }
+    best
+}
+
 /// The whole simulated Pastry overlay.
 ///
 /// ```
@@ -155,8 +170,9 @@ impl PastryNetwork {
             );
             net.coords.insert(id.value(), (rng.gen(), rng.gen()));
         }
+        let keys = net.sorted_keys();
         for &id in ids {
-            net.refresh_from_truth(id);
+            net.refresh_with_keys(id, &keys);
         }
         net
     }
@@ -307,45 +323,79 @@ impl PastryNetwork {
     /// Rebuild a node's core state from global truth (bootstrap / the
     /// periodic repair that models Pastry's maintenance).
     pub fn refresh_from_truth(&mut self, id: Id) {
+        let keys = self.sorted_keys();
+        self.refresh_with_keys(id, &keys);
+    }
+
+    /// The live node ids in ascending order, as raw keys.
+    fn sorted_keys(&self) -> Vec<u128> {
+        self.nodes.keys().copied().collect()
+    }
+
+    /// [`refresh_from_truth`](Self::refresh_from_truth) over `keys`, the
+    /// live ids in ascending order (collected once per sweep).
+    fn refresh_with_keys(&mut self, id: Id, keys: &[u128]) {
         let leaves = self.true_leaves(id);
-        let mut rows = vec![vec![None; self.arity]; self.digit_count as usize];
-        for &other_raw in self.nodes.keys() {
-            let other = Id::new(other_raw);
-            if other == id {
-                continue;
-            }
-            let l = self.lcp(id, other);
-            if l >= self.digit_count {
-                continue;
-            }
-            let Ok(col) = self.config.space.digit(other, l, self.config.digit_bits) else {
-                continue; // unreachable: l < digit_count and width is validated
-            };
-            let cell: &mut Option<Id> = &mut rows[l as usize][col as usize];
-            // Table cells hold whichever qualifying node the owner
-            // happened to learn about (join paths, exchanged rows) — NOT
-            // the globally proximity-optimal one. We model "first
-            // encountered" with a deterministic per-(owner, entry) hash;
-            // a globally optimal fill would make the locality tie-break
-            // degenerate (no auxiliary entry could ever win it).
-            let replace = match *cell {
-                None => true,
-                Some(existing) => encounter_score(id, other) < encounter_score(id, existing),
-            };
-            if replace {
-                *cell = Some(other);
-            }
-        }
+        let rows = self.truth_rows(id, keys);
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.leaves = leaves;
             node.rows = rows;
         }
     }
 
+    /// The routing rows of live node `id` from global truth. Cell
+    /// `(l, col)` holds a node sharing exactly `l` leading digits with
+    /// `id` whose digit `l` is `col`; those nodes are the contiguous
+    /// block of `keys` with `id`'s first `l` digits followed by `col`,
+    /// where the block of the column before it ends (one binary search
+    /// per column, inside `id`'s block of the row above).
+    ///
+    /// Table cells hold whichever qualifying node the owner happened to
+    /// learn about (join paths, exchanged rows) — NOT the globally
+    /// proximity-optimal one. We model "first encountered" with a
+    /// deterministic per-(owner, entry) hash: the cell keeps the first
+    /// node in ascending id order with the smallest score. A globally
+    /// optimal fill would make the locality tie-break degenerate (no
+    /// auxiliary entry could ever win it).
+    fn truth_rows(&self, id: Id, keys: &[u128]) -> Vec<Vec<Option<Id>>> {
+        let mut rows = vec![vec![None; self.arity]; usize::from(self.digit_count)];
+        let bits = self.config.space.bits();
+        let digit_bits = self.config.digit_bits;
+        // `keys[lo..hi]`: the nodes sharing `id`'s first `l` digits.
+        let (mut lo, mut hi) = (0, keys.len());
+        for (l, row) in (0u8..).zip(rows.iter_mut()) {
+            if hi - lo <= 1 {
+                break; // only `id` itself is left: every deeper cell is empty
+            }
+            let top = bits - l * digit_bits; // exclusive top bit of digit `l`
+            let shift = top - digit_bits.min(top);
+            let prefix = id
+                .value()
+                .checked_shr(u32::from(top))
+                .map_or(0, |p| p << top);
+            let own = (id.value() >> shift) & ((1u128 << (top - shift)) - 1);
+            let (mut own_lo, mut own_hi) = (lo, lo);
+            let mut start = lo;
+            for (col, cell) in (0u128..1 << (top - shift)).zip(row.iter_mut()) {
+                let last = prefix | col << shift | ((1u128 << shift) - 1);
+                let end = start + keys[start..hi].partition_point(|&k| k <= last);
+                if col == own {
+                    (own_lo, own_hi) = (start, end);
+                } else {
+                    *cell = first_encountered(id, &keys[start..end]);
+                }
+                start = end;
+            }
+            (lo, hi) = (own_lo, own_hi);
+        }
+        rows
+    }
+
     /// Repair every node (a full maintenance round).
     pub fn repair_all(&mut self) {
-        for id in self.live_ids() {
-            self.refresh_from_truth(id);
+        let keys = self.sorted_keys();
+        for &key in &keys {
+            self.refresh_with_keys(Id::new(key), &keys);
         }
     }
 

@@ -452,10 +452,11 @@ impl SimOverlay {
         Id::new(((rank_of(w) + n - rank_of(source)) % n) as u128)
     }
 
-    fn candidates_for(&self, node: Id, frequencies: &FrequencySnapshot) -> Vec<Candidate> {
-        let core = self.core_neighbors(node);
+    /// The observed peers of `frequencies` other than `node` and its
+    /// `core` neighbors, as selection candidates.
+    fn candidates_for(node: Id, core: &[Id], frequencies: &FrequencySnapshot) -> Vec<Candidate> {
         frequencies
-            .without(core.into_iter().chain(std::iter::once(node)))
+            .without(core.iter().copied().chain(std::iter::once(node)))
             .iter()
             .map(|(id, weight)| Candidate::new(id, weight))
             .collect()
@@ -496,8 +497,8 @@ impl SimOverlay {
         k: usize,
         scratch: &mut SelectScratch,
     ) -> Result<Selection, SelectError> {
-        let candidates = self.candidates_for(node, frequencies);
         let core = self.core_neighbors(node);
+        let candidates = Self::candidates_for(node, &core, frequencies);
         match self.kind() {
             OverlayKind::Chord => {
                 let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
