@@ -17,7 +17,7 @@
 //! will encounter after its first hop.
 
 use peercache_core::chord::select_fast;
-use peercache_core::{Candidate, ChordProblem};
+use peercache_core::{CandidateScratch, ChordProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_sim::{OverlayKind, SimOverlay};
@@ -50,6 +50,7 @@ fn main() {
 
     // Locally optimal selection per node, k = log2 n.
     let k = (n as f64).log2().round() as usize;
+    let mut cut = CandidateScratch::default();
     let selections: Vec<Vec<Id>> = node_ids
         .iter()
         .enumerate()
@@ -57,11 +58,7 @@ fn main() {
             let wl = NodeWorkload::new(zipf.clone(), assignment.for_node(idx).clone());
             let weights = FrequencySnapshot::from_pairs(wl.node_weights(items, |i| owners[i]));
             let core = overlay.core_neighbors(node);
-            let cands: Vec<Candidate> = weights
-                .without(core.iter().copied().chain([node]))
-                .iter()
-                .map(|(id, w)| Candidate::new(id, w))
-                .collect();
+            let cands = cut.fill(&weights, node, &core).to_vec();
             select_fast(&ChordProblem::new(space, node, core, cands, k).unwrap())
                 .unwrap()
                 .aux

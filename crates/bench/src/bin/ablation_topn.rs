@@ -10,7 +10,7 @@
 
 use peercache_core::chord::select_fast;
 use peercache_core::cost::chord_cost;
-use peercache_core::{Candidate, ChordProblem};
+use peercache_core::{CandidateScratch, ChordProblem};
 use peercache_freq::{ExactCounter, FrequencyEstimator, FrequencySnapshot, SpaceSaving};
 use peercache_id::{Id, IdSpace};
 use peercache_workload::{random_ids, Zipf};
@@ -24,11 +24,9 @@ fn problem_from(
     snapshot: &FrequencySnapshot,
     k: usize,
 ) -> ChordProblem {
-    let cands: Vec<Candidate> = snapshot
-        .without(core.iter().copied().chain([me]))
-        .iter()
-        .map(|(id, w)| Candidate::new(id, w))
-        .collect();
+    let cands = CandidateScratch::default()
+        .fill(snapshot, me, core)
+        .to_vec();
     ChordProblem::new(space, me, core.to_vec(), cands, k).unwrap()
 }
 
@@ -38,7 +36,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(23);
     let peers = random_ids(space, 512, &mut rng);
     let me = peers[0];
-    let core: Vec<Id> = peers[1..10].to_vec();
+    // Ascending, as a substrate yields a core and the candidate cut takes it.
+    let mut core: Vec<Id> = peers[1..10].to_vec();
+    core.sort_unstable();
     let owners = &peers[10..];
 
     // A long observation stream over Zipf(1.2) owners.

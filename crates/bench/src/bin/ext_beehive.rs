@@ -17,7 +17,7 @@
 use std::collections::{HashMap, HashSet};
 
 use peercache_core::chord::select_fast;
-use peercache_core::{Candidate, ChordProblem};
+use peercache_core::{CandidateScratch, ChordProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_sim::OverlayKind;
@@ -48,13 +48,10 @@ fn main() {
     let weights = FrequencySnapshot::from_pairs(workload.node_weights(items, |i| owners[i]));
 
     // ---- scheme A: peer caching (the paper) ---------------------------
+    let mut cut = CandidateScratch::default();
     for &node in &node_ids {
         let core = overlay.core_neighbors(node);
-        let cands: Vec<Candidate> = weights
-            .without(core.iter().copied().chain([node]))
-            .iter()
-            .map(|(id, w)| Candidate::new(id, w))
-            .collect();
+        let cands = cut.fill(&weights, node, &core).to_vec();
         let sel = select_fast(&ChordProblem::new(space, node, core, cands, k).unwrap()).unwrap();
         overlay.set_aux(node, sel.aux);
     }

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use peercache_core::chord::select_fast;
-use peercache_core::{Candidate, ChordProblem};
+use peercache_core::{Candidate, CandidateScratch, ChordProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_sim::{OverlayKind, SimOverlay};
@@ -50,13 +50,15 @@ fn main() {
         .collect();
     let k = (n as f64).log2().round() as usize;
 
-    // Per-node candidate weights (exact popularities, as in stable mode).
-    let weights: Vec<FrequencySnapshot> = (0..n)
+    // Per-node candidates (exact popularities, as in stable mode).
+    let mut cut = CandidateScratch::default();
+    let candidates: Vec<Vec<Candidate>> = (0..n)
         .map(|idx| {
             let wl = NodeWorkload::new(zipf.clone(), assignment.for_node(idx).clone());
             let full = FrequencySnapshot::from_pairs(wl.node_weights(items, |i| owners[i]));
-            let core = overlay.core_neighbors(node_ids[idx]);
-            full.without(core.into_iter().chain([node_ids[idx]]))
+            let node = node_ids[idx];
+            cut.fill(&full, node, &overlay.core_neighbors(node))
+                .to_vec()
         })
         .collect();
 
@@ -74,10 +76,7 @@ fn main() {
 
     // (1) the paper's one-shot model-based optimum.
     for (idx, &node) in node_ids.iter().enumerate() {
-        let cands: Vec<Candidate> = weights[idx]
-            .iter()
-            .map(|(id, w)| Candidate::new(id, w))
-            .collect();
+        let cands = candidates[idx].clone();
         let core = overlay.core_neighbors(node);
         let sel = select_fast(&ChordProblem::new(space, node, core, cands, k).unwrap()).unwrap();
         overlay.set_aux(node, sel.aux);
@@ -101,9 +100,9 @@ fn main() {
             };
             overlay.set_aux(node, vec![]);
             let mut benefit: HashMap<Id, f64> = HashMap::new();
-            for (cand, w) in weights[idx].iter() {
-                let hops = f64::from(overlay.query(node, cand).hops);
-                benefit.insert(cand, w * (hops - 1.0).max(0.0));
+            for c in &candidates[idx] {
+                let hops = f64::from(overlay.query(node, c.id).hops);
+                benefit.insert(c.id, c.weight * (hops - 1.0).max(0.0));
             }
             let mut ranked: Vec<(Id, f64)> = benefit.into_iter().collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));

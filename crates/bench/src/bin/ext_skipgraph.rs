@@ -6,12 +6,9 @@
 //! node to its rank offset from the selecting node, then map the chosen
 //! ranks back to node ids and install them as auxiliary links.
 
-use std::collections::HashMap;
-
-use peercache_core::chord::select_fast;
-use peercache_core::{Candidate, ChordProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
+use peercache_sim::SimOverlay;
 use peercache_skipgraph::{SkipGraphConfig, SkipGraphNetwork};
 use peercache_workload::{random_ids, ItemCatalog, NodeWorkload, Ranking, Zipf};
 use rand::rngs::StdRng;
@@ -37,30 +34,13 @@ fn main() {
         .collect();
     let weights = FrequencySnapshot::from_pairs(workload.node_weights(items, |i| owners[i]));
 
-    // Rank-space mapping machinery.
-    let rank: HashMap<Id, usize> = node_ids.iter().enumerate().map(|(r, &i)| (i, r)).collect();
-    let rank_bits = (n as f64).log2().ceil() as u8 + 1;
-    let rank_space = IdSpace::new(rank_bits).unwrap();
-
+    // The rank-space transfer is the overlay bridge's SkipGraph arm.
+    let overlay = SimOverlay::SkipGraph(net.clone());
     let mut aware = Vec::with_capacity(n);
     let mut oblivious = Vec::with_capacity(n);
     let mut rng_sel = StdRng::seed_from_u64(38);
     for &node in &node_ids {
-        let core = net.node(node).unwrap().core_neighbors();
-        let to_rank = |w: Id| Id::new(((rank[&w] + n - rank[&node]) % n) as u128);
-        let cands: Vec<Candidate> = weights
-            .without(core.iter().copied().chain([node]))
-            .iter()
-            .map(|(id, w)| Candidate::new(to_rank(id), w))
-            .collect();
-        let core_ranks: Vec<Id> = core.iter().map(|&c| to_rank(c)).collect();
-        let problem = ChordProblem::new(rank_space, Id::new(0), core_ranks, cands, k).unwrap();
-        let sel = select_fast(&problem).unwrap();
-        let aux: Vec<Id> = sel
-            .aux
-            .iter()
-            .map(|r| node_ids[(rank[&node] + r.value() as usize) % n])
-            .collect();
+        let aux = overlay.select_aware(node, &weights, k).unwrap().aux;
         let mut pool: Vec<Id> = node_ids.iter().copied().filter(|&x| x != node).collect();
         pool.shuffle(&mut rng_sel);
         pool.truncate(aux.len());

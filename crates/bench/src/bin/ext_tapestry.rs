@@ -7,7 +7,7 @@
 //! digits-to-fix geometry, which Tapestry shares.
 
 use peercache_core::pastry::select_greedy;
-use peercache_core::{Candidate, PastryProblem};
+use peercache_core::{CandidateScratch, PastryProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_tapestry::{TapestryConfig, TapestryNetwork};
@@ -39,13 +39,10 @@ fn main() {
     let mut aware = Vec::with_capacity(n);
     let mut oblivious = Vec::with_capacity(n);
     let mut rng_sel = StdRng::seed_from_u64(30);
+    let mut cut = CandidateScratch::default();
     for &node in &node_ids {
         let core = net.node(node).unwrap().core_neighbors();
-        let cands: Vec<Candidate> = weights
-            .without(core.iter().copied().chain([node]))
-            .iter()
-            .map(|(id, w)| Candidate::new(id, w))
-            .collect();
+        let cands = cut.fill(&weights, node, &core).to_vec();
         let problem = PastryProblem::new(space, digit_bits, node, core, cands, k).unwrap();
         let sel = select_greedy(&problem).unwrap();
         // Oblivious: random nodes from the overlay, same budget.

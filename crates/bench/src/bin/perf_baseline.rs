@@ -10,6 +10,9 @@
 //! * the greedy Pastry trie DP through a reused [`PastryWorkspace`] and
 //!   the exact per-row DP;
 //! * Space-Saving stream updates;
+//! * ungated scaling rows: one-shot Chord fast and Pastry greedy solves
+//!   at `n ∈ {256, 1024, 4096}` (the complexity claim, §I contribution
+//!   1) and routed lookups through stable Chord and Pastry rings;
 //! * end-to-end `fig3` at `--quick` scale serially and over the pool
 //!   (paper scale too without `--quick`), reporting speedup-vs-serial.
 //!
@@ -51,17 +54,17 @@ use peercache_bench::{random_chord_problem, random_pastry_problem};
 use peercache_core::chord::{select_fast, select_naive, ChordWorkspace, PreparedChord};
 use peercache_core::pastry::{select_dp, select_greedy, PastryWorkspace};
 use peercache_freq::{FrequencyEstimator, SpaceSaving};
-use peercache_id::Id;
+use peercache_id::{Id, IdSpace};
 use peercache_json::{Value, ValueExt};
 use peercache_par::with_threads;
 use peercache_pastry::RoutingMode;
 use peercache_sim::{
     fault_matrix_multi, fig3, ChurnConfig, ChurnRecomputeBench, FaultMatrixConfig, OverlayKind,
-    Scale, SelectionBench, StableConfig,
+    Scale, SelectionBench, SimOverlay, StableConfig,
 };
 use peercache_workload::{random_ids, Zipf};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -380,7 +383,7 @@ fn micro_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
     // owner observations (the churn driver's estimator hot path).
     const STREAM: usize = 100_000;
     let mut rng = StdRng::seed_from_u64(13);
-    let peers = random_ids(peercache_id::IdSpace::paper(), 1024, &mut rng);
+    let peers = random_ids(IdSpace::paper(), 1024, &mut rng);
     let zipf = Zipf::new(peers.len(), 1.2).expect("valid Zipf");
     let stream: Vec<Id> = (0..STREAM).map(|_| peers[zipf.sample(&mut rng)]).collect();
     push(
@@ -526,6 +529,80 @@ fn chunk_sweep_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelRe
         "  best chunk this host: {best_chunk} (committed SELECT_CHUNK = {committed}; \
          retune crates/sim/src/stable.rs if they persistently disagree)"
     );
+}
+
+/// Informational (ungated) scaling rows: one-shot selections as `n`
+/// grows — `O(n·k·b)` Pastry greedy, near-linear Chord fast — and the
+/// per-lookup cost of routing through stable Chord and Pastry rings
+/// without auxiliary pointers.
+fn scaling_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>) {
+    let mut push = |kernel: String, config: String, ops: u64, ns_total: f64| {
+        let ns_per_op = ns_total / ops as f64;
+        println!(
+            "  {kernel:<24} {config:<28} {ns_per_op:>14.1} ns/op {:>12.2} units",
+            ns_per_op / calib
+        );
+        kernels.push(KernelReport {
+            kernel,
+            config,
+            ns_per_op,
+            units: ns_per_op / calib,
+            ops_per_iter: ops,
+            samples: profile.samples,
+            threads: 1,
+            speedup_vs_serial: None,
+            alloc_per_op: None,
+            gated: false,
+        });
+    };
+    for n in [256usize, 1024, 4096] {
+        let k = (n as f64).log2().round() as usize;
+        let config = format!("n={n} k={k} alpha=1.2");
+        let chord = random_chord_problem(n, k, 1.2, 7);
+        let ns = time_median(profile.samples, profile.warmup, || {
+            std::hint::black_box(select_fast(&chord).expect("solvable"));
+        });
+        push(format!("select_chord_fast_n{n}"), config.clone(), 1, ns);
+        let pastry = random_pastry_problem(n, k, 1.2, 7);
+        let ns = time_median(profile.samples, profile.warmup, || {
+            std::hint::black_box(select_greedy(&pastry).expect("solvable"));
+        });
+        push(format!("select_pastry_greedy_n{n}"), config, 1, ns);
+    }
+    const LOOKUPS: usize = 1000;
+    let kinds = [
+        ("chord", OverlayKind::Chord),
+        (
+            "pastry",
+            OverlayKind::Pastry {
+                digit_bits: 1,
+                mode: RoutingMode::LocalityAware,
+            },
+        ),
+    ];
+    for (name, kind) in kinds {
+        for n in [1024usize, 4096] {
+            let space = IdSpace::paper();
+            let mut rng = StdRng::seed_from_u64(17);
+            let ids = random_ids(space, n, &mut rng);
+            let mut overlay = SimOverlay::build(kind, space, &ids, &mut rng);
+            let lookups: Vec<(Id, Id)> = (0..LOOKUPS)
+                .map(|_| {
+                    (
+                        ids[rng.gen_range(0..n)],
+                        Id::new(u128::from(rng.gen::<u32>())),
+                    )
+                })
+                .collect();
+            let ns = time_median(profile.samples, profile.warmup, || {
+                for &(from, key) in &lookups {
+                    std::hint::black_box(overlay.query(from, key));
+                }
+            });
+            let config = format!("{LOOKUPS} lookups, no aux");
+            push(format!("route_{name}_n{n}"), config, LOOKUPS as u64, ns);
+        }
+    }
 }
 
 fn e2e_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>) {
@@ -718,6 +795,8 @@ fn main() {
     churn_kernels(profile, calib, &mut kernels);
     println!("selection chunk sweep (median of {}):", profile.samples);
     chunk_sweep_kernels(profile, calib, &mut kernels);
+    println!("scaling rows (median of {}):", profile.samples);
+    scaling_kernels(profile, calib, &mut kernels);
     println!("end-to-end sweeps (median of {}):", profile.e2e_samples);
     e2e_kernels(profile, calib, &mut kernels);
     if cfg!(feature = "count-allocs") {

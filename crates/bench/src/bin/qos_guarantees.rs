@@ -4,7 +4,7 @@
 //! selection, on a real Chord overlay.
 
 use peercache_core::chord::select_fast;
-use peercache_core::{Candidate, ChordProblem};
+use peercache_core::{Candidate, CandidateScratch, ChordProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_sim::{OverlayKind, SimOverlay};
@@ -37,18 +37,19 @@ fn main() {
     let qos_targets: Vec<Id> = hot.iter().rev().take(8).map(|&(id, _)| id).collect();
 
     let k = 10;
-    let run = |overlay: &mut SimOverlay, with_bounds: bool| -> (f64, f64, u64) {
+    let mut cut = CandidateScratch::default();
+    let mut run = |overlay: &mut SimOverlay, with_bounds: bool| -> (f64, f64, u64) {
         // Install per-node selections.
         for &node in &ids {
             let core = overlay.core_neighbors(node);
-            let cands: Vec<Candidate> = weights
-                .without(core.iter().copied().chain([node]))
+            let cands: Vec<Candidate> = cut
+                .fill(&weights, node, &core)
                 .iter()
-                .map(|(id, w)| {
-                    if with_bounds && qos_targets.contains(&id) {
-                        Candidate::with_max_hops(id, w, bound_hops)
+                .map(|&c| {
+                    if with_bounds && qos_targets.contains(&c.id) {
+                        Candidate::with_max_hops(c.id, c.weight, bound_hops)
                     } else {
-                        Candidate::new(id, w)
+                        c
                     }
                 })
                 .collect();

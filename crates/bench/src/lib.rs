@@ -1,5 +1,5 @@
-//! Shared plumbing for the figure-regeneration binaries and the Criterion
-//! benchmarks: random problem builders and a tiny CLI/report layer.
+//! Shared plumbing for the figure-regeneration binaries and
+//! `perf_baseline`: random problem builders and a tiny CLI/report layer.
 
 #![warn(missing_docs)]
 

@@ -76,6 +76,7 @@ impl ChordNode {
     /// [`core_neighbors`](Self::core_neighbors) into a caller-owned
     /// buffer — the arena-facing walk API: a sweep over many nodes reuses
     /// one buffer instead of allocating a fresh vector per node.
+    /// Ascending, repeat-free, self excluded: `CandidateScratch` relies on it.
     pub fn core_neighbors_into(&self, out: &mut Vec<Id>) {
         out.clear();
         out.extend(

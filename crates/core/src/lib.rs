@@ -70,4 +70,6 @@ pub(crate) mod invariants;
 pub mod pastry;
 mod problem;
 
-pub use problem::{Candidate, ChordProblem, PastryProblem, SelectError, Selection};
+pub use problem::{
+    Candidate, CandidateScratch, ChordProblem, PastryProblem, SelectError, Selection,
+};

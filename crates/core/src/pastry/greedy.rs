@@ -697,6 +697,25 @@ impl PastryWorkspace {
         crate::invariants::assert_greedy_matches_dp(problem, &self.selection);
         Ok(&self.selection)
     }
+
+    /// Apply incremental changes (§IV-C) to the optimizer the last solve
+    /// left behind, then re-select `k` pointers — bit-identical to a
+    /// fresh solve over the changed problem.
+    ///
+    /// # Errors
+    /// [`SelectError::InvalidProblem`] when no solve has run; otherwise
+    /// whatever `update` or the selection reports.
+    pub fn resolve_with<F>(&mut self, k: usize, update: F) -> Result<&Selection, SelectError>
+    where
+        F: FnOnce(&mut PastryOptimizer) -> Result<(), SelectError>,
+    {
+        let Some(opt) = self.opt.as_mut() else {
+            return Err(SelectError::InvalidProblem("no solve to update".into()));
+        };
+        update(opt)?;
+        opt.selection_into(k, &mut self.stack, &mut self.counts, &mut self.selection)?;
+        Ok(&self.selection)
+    }
 }
 
 /// One-shot greedy selection (paper §IV-B): `O(n·k·b)`.

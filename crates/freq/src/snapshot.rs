@@ -29,9 +29,6 @@ pub struct SnapshotEntry {
 /// let top = snapshot.top_n(2);
 /// assert_eq!(top.weight_of(Id::new(5)), 10.0);
 /// assert_eq!(top.weight_of(Id::new(9)), 0.0);
-/// // Core neighbors are filtered out before selection.
-/// let filtered = snapshot.without(vec![Id::new(2)]);
-/// assert_eq!(filtered.len(), 2);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FrequencySnapshot {
@@ -118,22 +115,6 @@ impl FrequencySnapshot {
         self.refill_from_pairs(counts.into_iter().map(|(p, c)| (p, c as f64)));
     }
 
-    /// Rebuild this snapshot **in place** as a filtered copy of
-    /// `source`: keep exactly the entries whose peer satisfies `keep`,
-    /// preserving order and weights. The in-place counterpart of
-    /// [`without`](Self::without) for callers that already know the
-    /// exclusion test (e.g. a sorted core-neighbor set to binary-search)
-    /// — no exclusion vector is materialised and, at warmed capacity,
-    /// nothing allocates.
-    pub fn refill_filtered<F>(&mut self, source: &FrequencySnapshot, mut keep: F)
-    where
-        F: FnMut(Id) -> bool,
-    {
-        self.entries.clear();
-        self.entries
-            .extend(source.entries.iter().filter(|e| keep(e.peer)).copied());
-    }
-
     /// The entries, sorted by peer id.
     pub fn entries(&self) -> &[SnapshotEntry] {
         &self.entries
@@ -178,8 +159,8 @@ impl FrequencySnapshot {
         FrequencySnapshot { entries: by_weight }
     }
 
-    /// Remove a set of peers (e.g. the selecting node itself and its core
-    /// neighbors, which are never candidates for auxiliary selection).
+    /// Remove a set of peers, given in any order. Selection does not use
+    /// this: it cuts its candidates with `peercache_core::CandidateScratch`.
     pub fn without<I>(&self, peers: I) -> FrequencySnapshot
     where
         I: IntoIterator<Item = Id>,
@@ -309,14 +290,5 @@ mod tests {
         s.refill_from_pairs(pairs.clone());
         assert_eq!(s, FrequencySnapshot::from_pairs(pairs));
         assert_eq!(s.weight_of(id(9)), 0.0, "stale entries are replaced");
-    }
-
-    #[test]
-    fn refill_filtered_matches_without() {
-        let s = FrequencySnapshot::from_counts(vec![(id(1), 5), (id(2), 9), (id(3), 2)]);
-        let excluded = [id(2), id(9)];
-        let mut filtered = FrequencySnapshot::default();
-        filtered.refill_filtered(&s, |p| excluded.binary_search(&p).is_err());
-        assert_eq!(filtered, s.without(excluded.iter().copied()));
     }
 }

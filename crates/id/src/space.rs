@@ -289,6 +289,13 @@ impl IdSpace {
     }
 }
 
+impl Default for IdSpace {
+    /// The paper's space, [`IdSpace::paper`].
+    fn default() -> Self {
+        Self::paper()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -267,7 +267,8 @@ impl PastryArena {
     /// The core neighbor set `N_s` of the member at `rank` into a
     /// caller-owned buffer: leaf set plus every routing-table cell,
     /// sorted and deduplicated — the arena-facing walk API matching
-    /// [`PastryNode::core_neighbors_into`].
+    /// [`PastryNode::core_neighbors_into`] and keeping its contract:
+    /// ascending, without repeats, and without the member itself.
     ///
     /// [`PastryNode::core_neighbors_into`]: crate::PastryNode::core_neighbors_into
     pub fn core_neighbors_into(&self, rank: usize, out: &mut Vec<Id>) {

@@ -37,12 +37,15 @@ impl PastryConfig {
     /// Locality-aware configuration over `space` with digit width `d`,
     /// four leaves per side, and a `4·⌈b/d⌉` hop budget.
     ///
+    /// A width that does not divide `b` is allowed: the last digit is
+    /// narrower (`⌈b/d⌉` digits in all).
+    ///
     /// # Panics
-    /// Panics when `digit_bits` does not divide the id-space width — a
+    /// Panics when `digit_bits` is 0 or wider than the id width `b` — a
     /// configuration is programmer input.
     pub fn new(space: IdSpace, digit_bits: u8) -> Self {
         let digit_count = space.digit_count(digit_bits).unwrap_or(0);
-        assert!(digit_count > 0, "digit width must divide the id space");
+        assert!(digit_count > 0, "digit width must be in 1..=b");
         PastryConfig {
             space,
             digit_bits,
@@ -791,5 +794,22 @@ impl PastryNetwork {
             .filter(|&c| c < cur_key)
             .min()
             .map(|(_, w)| Id::new(w))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "digit width must be in 1..=b")]
+    fn config_rejects_zero_digit_bits() {
+        let _ = PastryConfig::new(IdSpace::new(8).unwrap(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "digit width must be in 1..=b")]
+    fn config_rejects_digit_bits_wider_than_the_id() {
+        let _ = PastryConfig::new(IdSpace::new(8).unwrap(), 9);
     }
 }

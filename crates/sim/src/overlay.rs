@@ -5,7 +5,7 @@
 use peercache_chord::{ChordConfig, ChordNetwork};
 use peercache_core::baseline::SliceBuckets;
 use peercache_core::{chord, cost, pastry, Candidate, ChordProblem, PastryProblem};
-use peercache_core::{SelectError, Selection};
+use peercache_core::{CandidateScratch, SelectError, Selection};
 use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdError, IdSpace};
@@ -59,12 +59,17 @@ impl QueryOutcome {
     }
 }
 
-/// Reusable per-thread selection scratch: one solver workspace per family
-/// (the fast Chord DP and the greedy Pastry trie), so a sweep over many
-/// nodes reuses the DP tables and trie storage instead of reallocating
-/// them per solve. One scratch per worker thread — the workspaces are not
-/// shared.
+/// Reusable per-thread selection scratch: the core buffer, the candidate
+/// builder, one retained problem and one solver workspace per family (the fast Chord DP and the
+/// greedy Pastry trie), so a sweep over many nodes refills the same
+/// buffers, DP tables and trie storage instead of reallocating them per
+/// solve. One scratch per worker thread — the workspaces are not shared.
+#[derive(Default)]
 pub struct SelectScratch {
+    core: Vec<Id>,
+    candidates: CandidateScratch,
+    chord_problem: ChordProblem,
+    pastry_problem: PastryProblem,
     chord: chord::ChordWorkspace,
     pastry: pastry::PastryWorkspace,
 }
@@ -72,26 +77,22 @@ pub struct SelectScratch {
 impl SelectScratch {
     /// An empty scratch; buffers grow to fit on first use.
     pub fn new() -> Self {
-        SelectScratch {
-            chord: chord::ChordWorkspace::new(),
-            pastry: pastry::PastryWorkspace::new(),
-        }
-    }
-}
-
-impl Default for SelectScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
 /// Reusable state for a frequency-oblivious selection sweep: the sorted
-/// live ring, read once, plus the draw buckets and neighbor buffer every
-/// node's selection reuses. The ring must be the overlay's current
-/// live ring — re-read it with [`refresh`](Self::refresh) after any
-/// membership change.
+/// live ring, read once, plus the core buffer, the retained problems that
+/// validate each core, the draw buckets and the neighbor buffer every
+/// node's selection reuses. The ring must be the overlay's current live
+/// ring — re-read it with [`refresh`](Self::refresh) after any membership
+/// change.
+#[derive(Default)]
 pub(crate) struct ObliviousPool {
     ring: Vec<Id>,
+    core: Vec<Id>,
+    chord_problem: ChordProblem,
+    pastry_problem: PastryProblem,
     buckets: SliceBuckets,
     neighbors: Vec<Id>,
 }
@@ -101,8 +102,7 @@ impl ObliviousPool {
     pub(crate) fn new(overlay: &SimOverlay) -> Self {
         ObliviousPool {
             ring: overlay.live_ids(),
-            buckets: SliceBuckets::new(),
-            neighbors: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -214,7 +214,9 @@ impl SimOverlay {
     /// buffer — the arena-facing walk API. Sharded sweeps call this once
     /// per node with one scratch buffer per shard, so building selection
     /// inputs for a whole arena allocates nothing per node. An unknown
-    /// `node` leaves `out` cleared.
+    /// `node` leaves `out` cleared. Every substrate yields the core
+    /// ascending, without repeats and without `node` — the slice
+    /// [`CandidateScratch::fill`] cuts the candidates against.
     pub fn core_neighbors_into(&self, node: Id, out: &mut Vec<Id>) {
         out.clear();
         match self {
@@ -440,28 +442,6 @@ impl SimOverlay {
         }
     }
 
-    /// Map a node to its rank offset from `source` on the key ring (the
-    /// geometry skip-graph level links live in), as an id of a compact
-    /// rank space.
-    fn rank_id(ring: &[Id], source: Id, w: Id) -> Id {
-        let n = ring.len();
-        // Callers pass only live ids, which are exactly the members of
-        // the sorted ring; a miss is unreachable, and rank 0 keeps the
-        // arithmetic total.
-        let rank_of = |x: Id| ring.binary_search(&x).unwrap_or(0);
-        Id::new(((rank_of(w) + n - rank_of(source)) % n) as u128)
-    }
-
-    /// The observed peers of `frequencies` other than `node` and its
-    /// `core` neighbors, as selection candidates.
-    fn candidates_for(node: Id, core: &[Id], frequencies: &FrequencySnapshot) -> Vec<Candidate> {
-        frequencies
-            .without(core.iter().copied().chain(std::iter::once(node)))
-            .iter()
-            .map(|(id, weight)| Candidate::new(id, weight))
-            .collect()
-    }
-
     /// Run the paper's optimal selection for `node` over the observed
     /// `frequencies` (entries for the node itself or its core neighbors
     /// are filtered out automatically).
@@ -483,10 +463,11 @@ impl SimOverlay {
     }
 
     /// [`select_aware`](Self::select_aware) through a reusable
-    /// [`SelectScratch`]: the solver DP tables, trie storage, and scratch
-    /// buffers live in `scratch` and are reused across calls, so a sweep
-    /// over many nodes allocates per-solve only for the returned
-    /// `Selection` and the candidate pool.
+    /// [`SelectScratch`]: the node's core and its [`CandidateScratch`] cut
+    /// refill a retained problem, and the solver DP tables, trie storage
+    /// and scratch buffers are reused across calls, so at warmed capacity
+    /// a solve allocates only the problem's validation sets and the
+    /// returned `Selection` (the SkipGraph arm also copies the live ring).
     ///
     /// # Errors
     /// Propagates [`SelectError`] from the solver.
@@ -497,21 +478,30 @@ impl SimOverlay {
         k: usize,
         scratch: &mut SelectScratch,
     ) -> Result<Selection, SelectError> {
-        let core = self.core_neighbors(node);
-        let candidates = Self::candidates_for(node, &core, frequencies);
+        let SelectScratch {
+            core,
+            candidates,
+            chord_problem,
+            pastry_problem,
+            chord,
+            pastry,
+        } = scratch;
+        self.core_neighbors_into(node, core);
+        let candidates = candidates.fill(frequencies, node, core);
         match self.kind() {
             OverlayKind::Chord => {
-                let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
-                Ok(scratch.chord.solve_into(&problem)?.clone())
+                chord_problem.refill(self.space(), node, core, candidates, k)?;
+                Ok(chord.solve_into(chord_problem)?.clone())
             }
             OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
-                let problem =
-                    PastryProblem::new(self.space(), digit_bits, node, core, candidates, k)?;
-                Ok(scratch.pastry.solve_into(&problem)?.clone())
+                pastry_problem.refill(self.space(), digit_bits, node, core, candidates, k)?;
+                Ok(pastry.solve_into(pastry_problem)?.clone())
             }
             OverlayKind::SkipGraph => {
-                // §I transfer: run the Chord optimiser in rank space.
-                let ring = self.live_ids(); // sorted
+                // §I transfer: run the Chord optimiser in rank space, each
+                // live peer at its rank offset from `node` on the sorted
+                // ring. A peer the ring lacks is not live and drops out.
+                let ring = self.live_ids();
                 let n = ring.len();
                 // At most usize::BITS + 1 = 65, well within u8.
                 #[allow(clippy::cast_possible_truncation)]
@@ -519,26 +509,23 @@ impl SimOverlay {
                 let rank_space = IdSpace::new(rank_bits).map_err(|e| {
                     SelectError::InvalidProblem(format!("rank space of {rank_bits} bits: {e}"))
                 })?;
-                let cands: Vec<Candidate> = candidates
-                    .into_iter()
-                    .filter(|c| self.is_live(c.id))
-                    .map(|c| Candidate {
-                        id: Self::rank_id(&ring, node, c.id),
-                        weight: c.weight,
-                        max_hops: c.max_hops,
-                    })
-                    .collect();
-                let core_ranks: Vec<Id> = core
-                    .iter()
-                    .filter(|&&c| self.is_live(c))
-                    .map(|&c| Self::rank_id(&ring, node, c))
-                    .collect();
-                let problem = ChordProblem::new(rank_space, Id::new(0), core_ranks, cands, k)?;
-                let sel = scratch.chord.solve_into(&problem)?;
                 let my_rank = ring.binary_search(&node).map_err(|_| {
                     SelectError::InvalidProblem(format!("selecting node {node} is not live"))
                 })?;
-                let aux: Vec<Id> = sel
+                let rank_of = |w: Id| {
+                    let r = ring.binary_search(&w).ok()?;
+                    Some(Id::new(((r + n - my_rank) % n) as u128))
+                };
+                let rank_candidate = |c: &Candidate| rank_of(c.id).map(|id| Candidate { id, ..*c });
+                chord_problem.refill(
+                    rank_space,
+                    Id::new(0),
+                    core.iter().filter_map(|&c| rank_of(c)),
+                    candidates.iter().filter_map(rank_candidate),
+                    k,
+                )?;
+                let sel = chord.solve_into(chord_problem)?;
+                let aux = sel
                     .aux
                     .iter()
                     .map(|r| ring[(my_rank + r.value() as usize) % n])
@@ -597,44 +584,46 @@ impl SimOverlay {
         rng: &mut R,
     ) -> Result<Selection, SelectError> {
         let space = self.space();
-        let core = self.core_neighbors(node);
-        // Validate the core exactly as the selection problems do; the
-        // candidates, live ring ids minus self and core, are valid by
-        // construction.
-        let (mut core, digit_bits) = match self.kind() {
-            OverlayKind::Chord | OverlayKind::SkipGraph => (
-                ChordProblem::new(space, node, core, Vec::new(), k)?.core,
-                None,
-            ),
+        self.core_neighbors_into(node, &mut pool.core);
+        let core = &pool.core;
+        // Validate the ascending core exactly as the selection problems
+        // do; the candidates, live ring ids minus self and core, are
+        // valid by construction.
+        let none = std::iter::empty::<Candidate>;
+        let digit_bits = match self.kind() {
+            OverlayKind::Chord | OverlayKind::SkipGraph => {
+                pool.chord_problem.refill(space, node, core, none(), k)?;
+                None
+            }
             OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
-                let problem = PastryProblem::new(space, digit_bits, node, core, Vec::new(), k)?;
-                (problem.core, Some(digit_bits))
+                let problem = &mut pool.pastry_problem;
+                problem.refill(space, digit_bits, node, core, none(), k)?;
+                Some(digit_bits)
             }
         };
-        core.sort_unstable();
         let invalid = |e: IdError| SelectError::InvalidProblem(e.to_string());
 
         let buckets = &mut pool.buckets;
         match digit_bits {
-            None => buckets.fill_chord_slices(space, &pool.ring, node, &core),
+            None => buckets.fill_chord_slices(space, &pool.ring, node, core),
             Some(d) => buckets
-                .fill_prefix_slices(space, d, &pool.ring, node, &core)
+                .fill_prefix_slices(space, d, &pool.ring, node, core)
                 .map_err(invalid)?,
         }
         let aux = buckets.draw(k, rng);
 
         pool.neighbors.clear();
-        pool.neighbors.extend_from_slice(&core);
+        pool.neighbors.extend_from_slice(core);
         pool.neighbors.extend_from_slice(&aux);
         let cost = match digit_bits {
             None => {
                 pool.neighbors
                     .sort_unstable_by_key(|&w| space.clockwise_distance(node, w));
-                cost::chord_cost_counted(space, node, &pool.ring, &core, &pool.neighbors)
+                cost::chord_cost_counted(space, node, &pool.ring, core, &pool.neighbors)
             }
             Some(d) => {
                 pool.neighbors.sort_unstable();
-                cost::pastry_cost_counted(space, d, node, &pool.ring, &core, &pool.neighbors)
+                cost::pastry_cost_counted(space, d, node, &pool.ring, core, &pool.neighbors)
                     .map_err(invalid)?
             }
         };

@@ -4,8 +4,8 @@
 //!
 //! Both drivers that re-select auxiliary sets as observations accrue —
 //! the sharded stable engine and the churn driver — share the same core
-//! move: keep the [`PastryOptimizer`] a node's current selection was
-//! solved with, diff the node's **new** candidate pool against the
+//! move: keep the optimizer a node's current selection was solved with,
+//! diff the node's **new** candidate pool against the
 //! **mirror** pool the trie currently encodes, apply only the delta
 //! (`update_weight` / `insert` / `remove`, each `O(k·b)`), and re-select.
 //! Every mutator fully recomputes the affected trie spine, so the trie
@@ -35,8 +35,8 @@
 //! (`churn_recompute_full` vs `churn_recompute_incremental`) for
 //! `perf_baseline`.
 
-use peercache_core::pastry::PastryOptimizer;
-use peercache_core::{Candidate, PastryProblem, SelectError, Selection};
+use peercache_core::pastry::PastryWorkspace;
+use peercache_core::{Candidate, CandidateScratch, PastryProblem, SelectError};
 use peercache_freq::{ExactCounter, FrequencyEstimator, FrequencySnapshot};
 use peercache_id::{Id, IdSpace};
 use peercache_workload::{random_ids, ItemCatalog, NodeWorkload, RankingAssignment, Zipf};
@@ -60,65 +60,47 @@ pub(crate) struct PastryParams {
     pub space: IdSpace,
 }
 
-/// One node's retained incremental solver: the trie-backed optimizer its
-/// current selection was solved with, the mirror of the candidate pool
-/// that trie encodes, and the selection scratch buffers. All state is
-/// recycled across refreshes — at warmed capacity a delta refresh
-/// allocates nothing.
+/// One node's retained incremental solver: the workspace whose
+/// optimizer its current selection was solved with, and the mirror of the
+/// candidate pool that trie encodes. All state is recycled across
+/// refreshes — at warmed capacity a delta refresh allocates nothing.
+#[derive(Default)]
 pub(crate) struct RetainedPastry {
-    opt: Option<PastryOptimizer>,
-    /// Whether `opt`'s trie matches `mirror`. Cleared by
+    ws: PastryWorkspace,
+    /// Whether the workspace's trie matches `mirror`. Cleared by
     /// [`invalidate`](Self::invalidate) and while a refresh is mid-delta,
     /// so an error (or an interrupted refresh) forces a full rebuild
     /// instead of diffing against a stale mirror.
     valid: bool,
     /// The candidate pool the trie currently encodes — the "old" side of
     /// the next delta diff.
-    mirror: FrequencySnapshot,
-    stack: Vec<(u32, u32)>,
-    counts: Vec<u32>,
-    selection: Selection,
+    mirror: Vec<Candidate>,
 }
 
 impl RetainedPastry {
-    /// An empty retained solver; the first refresh takes the full-solve
-    /// path.
-    pub(crate) fn new() -> Self {
-        RetainedPastry {
-            opt: None,
-            valid: false,
-            mirror: FrequencySnapshot::default(),
-            stack: Vec::new(),
-            counts: Vec::new(),
-            selection: Selection {
-                aux: Vec::new(),
-                cost: 0.0,
-            },
-        }
-    }
-
     /// Drop the retained trie state (keeping the allocations): the next
     /// refresh rebuilds from scratch. Called when the owning node flips
     /// — a departed node's observations restart against a fresh routing
     /// state when it rejoins.
     pub(crate) fn invalidate(&mut self) {
         self.valid = false;
-        self.mirror.refill_from_pairs(std::iter::empty());
+        self.mirror.clear();
     }
 
-    /// Refresh the selection against the node's new candidate `pool`
-    /// (already excluding the node itself and its core neighbors).
+    /// Refresh the selection against the node's new `core` and candidate
+    /// pool, as cut by the [`CandidateScratch`] builder; `old_core` is the
+    /// core of the last successful refresh.
     ///
     /// With a valid retained optimizer the refresh is the delta path:
     /// `remove_core` for departed core neighbors, a sorted two-pointer
-    /// diff of `mirror` vs `pool` applied as
+    /// diff of `mirror` vs the new candidates applied as
     /// `update_weight`/`remove`/`insert`, then `add_core` for new core
     /// neighbors — `O(Δ·k·b)` total. Otherwise (first refresh, or after
-    /// [`invalidate`](Self::invalidate)) a fresh problem over `pool` and
-    /// `core_now` is solved, which the delta path is bit-identical to.
+    /// [`invalidate`](Self::invalidate)) `problem` is refilled from the
+    /// same inputs and solved, which the delta path is bit-identical to.
     ///
-    /// On success `pool` is copied into the mirror and the selected
-    /// auxiliary set is returned.
+    /// On success the candidates are copied into the mirror and the
+    /// selected auxiliary set is returned.
     ///
     /// # Errors
     /// Propagates [`SelectError`] from the solver. The retained state is
@@ -126,125 +108,82 @@ impl RetainedPastry {
     /// diffing against a half-applied delta.
     pub(crate) fn refresh(
         &mut self,
-        pool: &mut FrequencySnapshot,
+        core: &[Id],
+        old_core: &[Id],
+        candidates: &[Candidate],
+        problem: &mut PastryProblem,
         params: &PastryParams,
-        core_now: &[Id],
-        core_removed: &[Id],
-        core_added: &[Id],
     ) -> Result<&[Id], SelectError> {
-        let opt = if self.valid && self.opt.is_some() {
+        let PastryParams {
+            node,
+            digit_bits,
+            k,
+            space,
+        } = *params;
+        let selection = if self.valid {
             self.valid = false; // poisoned until the delta fully applies
-            let Some(opt) = self.opt.as_mut() else {
-                unreachable!("checked is_some above");
-            };
-            for &id in core_removed {
-                opt.remove_core(id)?;
-            }
-            // Sorted-merge diff: snapshots are ordered by id. Core moves
-            // are ordered around the pool diff so a peer moving between
-            // the pool and the core set never collides with itself:
-            // departed core leaves are gone before the pool diff can
-            // re-insert them as candidates, and candidates the pool diff
-            // removed are gone before `add_core` re-adds them as core.
-            let mut old = self.mirror.iter().peekable();
-            let mut new = pool.iter().peekable();
-            loop {
-                match (old.peek().copied(), new.peek().copied()) {
-                    (Some((oid, ow)), Some((nid, nw))) if oid == nid => {
-                        old.next();
-                        new.next();
-                        if ow.to_bits() != nw.to_bits() {
-                            opt.update_weight(nid, nw)?;
+            let mirror = &self.mirror;
+            self.ws.resolve_with(k, |opt| {
+                for &id in old_core {
+                    if core.binary_search(&id).is_err() {
+                        opt.remove_core(id)?;
+                    }
+                }
+                // Sorted-merge diff: both pools are ordered by id. Core
+                // moves are ordered around the pool diff so a peer moving
+                // between the pool and the core set never collides with
+                // itself: departed core leaves are gone before the pool
+                // diff can re-insert them as candidates, and candidates
+                // the pool diff removed are gone before `add_core` re-adds
+                // them as core.
+                let pair = |c: &Candidate| (c.id, c.weight);
+                let mut old = mirror.iter().map(pair).peekable();
+                let mut new = candidates.iter().map(pair).peekable();
+                loop {
+                    match (old.peek().copied(), new.peek().copied()) {
+                        (Some((oid, ow)), Some((nid, nw))) if oid == nid => {
+                            old.next();
+                            new.next();
+                            if ow.to_bits() != nw.to_bits() {
+                                opt.update_weight(nid, nw)?;
+                            }
                         }
+                        (Some((oid, _)), Some((nid, _))) if oid < nid => {
+                            old.next();
+                            opt.remove(oid)?;
+                        }
+                        (Some(_), Some((nid, nw))) | (None, Some((nid, nw))) => {
+                            new.next();
+                            opt.insert(Candidate::new(nid, nw))?;
+                        }
+                        (Some((oid, _)), None) => {
+                            old.next();
+                            opt.remove(oid)?;
+                        }
+                        (None, None) => break,
                     }
-                    (Some((oid, _)), Some((nid, _))) if oid < nid => {
-                        old.next();
-                        opt.remove(oid)?;
-                    }
-                    (Some(_), Some((nid, nw))) => {
-                        new.next();
-                        opt.insert(Candidate::new(nid, nw))?;
-                    }
-                    (Some((oid, _)), None) => {
-                        old.next();
-                        opt.remove(oid)?;
-                    }
-                    (None, Some((nid, nw))) => {
-                        new.next();
-                        opt.insert(Candidate::new(nid, nw))?;
-                    }
-                    (None, None) => break,
                 }
-            }
-            for &id in core_added {
-                opt.add_core(id)?;
-            }
-            opt
+                for &id in core {
+                    if old_core.binary_search(&id).is_err() {
+                        opt.add_core(id)?;
+                    }
+                }
+                Ok(())
+            })?
         } else {
-            let candidates = pool.iter().map(|(id, w)| Candidate::new(id, w)).collect();
-            let problem = PastryProblem::new(
-                params.space,
-                params.digit_bits,
-                params.node,
-                core_now.to_vec(),
-                candidates,
-                params.k,
-            )?;
-            match self.opt.as_mut() {
-                Some(opt) => {
-                    opt.rebuild(&problem)?;
-                }
-                None => {
-                    self.opt = Some(PastryOptimizer::new(&problem)?);
-                }
-            }
-            let Some(opt) = self.opt.as_mut() else {
-                unreachable!("installed above");
-            };
-            opt
+            problem.refill(space, digit_bits, node, core, candidates, k)?;
+            self.ws.solve_into(problem)?
         };
-        opt.selection_into(
-            params.k,
-            &mut self.stack,
-            &mut self.counts,
-            &mut self.selection,
-        )?;
-        // Copy (never swap) the pool into the mirror: a swap would
+        // Copy (never swap) the candidates into the mirror: a swap would
         // rotate buffers between nodes of different pool sizes through
         // the caller's scratch, so capacities chase the largest node for
         // many ticks instead of converging after one — and the
         // steady-state tick is held to zero allocator calls.
-        self.mirror.refill_filtered(pool, |_| true);
+        self.mirror.clear();
+        self.mirror.extend_from_slice(candidates);
         self.valid = true;
-        Ok(&self.selection.aux)
+        Ok(&selection.aux)
     }
-}
-
-/// Sorted two-pointer set difference: fills `removed` with ids in `old`
-/// but not `new`, and `added` with ids in `new` but not `old`. Both
-/// inputs must be sorted; outputs are cleared first.
-fn diff_sorted(old: &[Id], new: &[Id], removed: &mut Vec<Id>, added: &mut Vec<Id>) {
-    removed.clear();
-    added.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                removed.push(old[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                added.push(new[j]);
-                j += 1;
-            }
-        }
-    }
-    removed.extend_from_slice(&old[i..]);
-    added.extend_from_slice(&new[j..]);
 }
 
 /// One node's engine-side state: the retained solver, the inputs its
@@ -269,7 +208,7 @@ struct NodeState {
 impl NodeState {
     fn new() -> Self {
         NodeState {
-            retained: RetainedPastry::new(),
+            retained: RetainedPastry::default(),
             core_mirror: Vec::new(),
             aux: Vec::new(),
             has_selection: false,
@@ -297,11 +236,9 @@ pub(crate) struct ChurnRefresh {
     ring_epoch: u64,
     // Shared scratch, recycled across nodes and ticks.
     snap: FrequencySnapshot,
-    pool: FrequencySnapshot,
     core_buf: Vec<Id>,
-    core_sorted: Vec<Id>,
-    core_removed: Vec<Id>,
-    core_added: Vec<Id>,
+    candidates: CandidateScratch,
+    problem: PastryProblem,
     scratch: SelectScratch,
 }
 
@@ -316,11 +253,9 @@ impl ChurnRefresh {
             nodes: (0..nodes).map(|_| NodeState::new()).collect(),
             ring_epoch: 0,
             snap: FrequencySnapshot::default(),
-            pool: FrequencySnapshot::default(),
             core_buf: Vec::new(),
-            core_sorted: Vec::new(),
-            core_removed: Vec::new(),
-            core_added: Vec::new(),
+            candidates: CandidateScratch::default(),
+            problem: PastryProblem::default(),
             scratch: SelectScratch::new(),
         }
     }
@@ -362,9 +297,6 @@ impl ChurnRefresh {
             return None;
         }
         overlay.core_neighbors_into(node, &mut self.core_buf);
-        self.core_sorted.clear();
-        self.core_sorted.extend_from_slice(&self.core_buf);
-        self.core_sorted.sort_unstable();
         let k = self.k;
         let kind = self.kind;
         let space = self.space;
@@ -378,7 +310,7 @@ impl ChurnRefresh {
         let clean = {
             let st = &self.nodes[idx];
             let ring_ok = !matches!(kind, OverlayKind::SkipGraph) || st.ring_epoch == epoch;
-            st.has_selection && !st.dirty && ring_ok && self.core_sorted == st.core_mirror
+            st.has_selection && !st.dirty && ring_ok && self.core_buf == st.core_mirror
         };
         if !clean && !self.recompute_dirty(overlay, idx, node, counter, k, kind, space, epoch) {
             return None;
@@ -409,30 +341,25 @@ impl ChurnRefresh {
                 let Self {
                     nodes,
                     snap,
-                    pool,
                     core_buf,
-                    core_sorted,
-                    core_removed,
-                    core_added,
+                    candidates,
+                    problem,
                     ..
                 } = self;
                 let st = &mut nodes[idx];
-                // The candidate pool: the raw snapshot minus the node
-                // itself and its core set — entry-for-entry what the
-                // full path's `without` produces.
-                pool.refill_filtered(snap, |p| {
-                    p != node && core_sorted.binary_search(&p).is_err()
-                });
-                diff_sorted(&st.core_mirror, core_sorted, core_removed, core_added);
+                // The candidate pool: the snapshot minus the node itself
+                // and its core set — the cut the full path makes.
+                let candidates = candidates.fill(snap, node, core_buf);
                 let params = PastryParams {
                     node,
                     digit_bits,
                     k,
                     space,
                 };
+                let old_core = &st.core_mirror;
                 match st
                     .retained
-                    .refresh(pool, &params, core_buf, core_removed, core_added)
+                    .refresh(core_buf, old_core, candidates, problem, &params)
                 {
                     Ok(aux) => {
                         st.aux.clear();
@@ -476,7 +403,7 @@ impl ChurnRefresh {
         // nodes keep receiving under-sized buffers and the steady-state
         // tick never reaches zero allocator calls.
         st.core_mirror.clear();
-        st.core_mirror.extend_from_slice(&self.core_sorted);
+        st.core_mirror.extend_from_slice(&self.core_buf);
         true
     }
 }
@@ -714,16 +641,6 @@ mod tests {
 
     fn id(v: u128) -> Id {
         Id::new(v)
-    }
-
-    #[test]
-    fn diff_sorted_splits_membership_changes() {
-        let old = [id(1), id(3), id(5), id(9)];
-        let new = [id(2), id(3), id(9), id(12)];
-        let (mut removed, mut added) = (vec![id(99)], vec![id(99)]);
-        diff_sorted(&old, &new, &mut removed, &mut added);
-        assert_eq!(removed, vec![id(1), id(5)]);
-        assert_eq!(added, vec![id(2), id(12)]);
     }
 
     #[test]

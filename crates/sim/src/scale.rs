@@ -27,7 +27,7 @@
 //! `fig3_scale` holds the whole engine to a committed ceiling.
 
 use peercache_core::pastry::PastryWorkspace;
-use peercache_core::{Candidate, PastryProblem};
+use peercache_core::{Candidate, CandidateScratch, PastryProblem};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_pastry::{ArenaScratch, PastryArena, PastryConfig, RoutingMode};
@@ -348,25 +348,17 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
         let (start, end) = layout.bounds(s);
         let mut workspace = PastryWorkspace::new();
         let mut core = Vec::new();
+        let mut candidates = CandidateScratch::default();
+        let mut problem = PastryProblem::default();
         let mut slices_buf = Vec::new();
         let mut draw = Vec::new();
         for rank in start..end {
             let node = arena.ids()[rank];
             arena.core_neighbors_into(rank, &mut core);
-            let candidates: Vec<Candidate> = weights
-                .without(core.iter().copied().chain(std::iter::once(node)))
-                .iter()
-                .map(|(id, w)| Candidate::new(id, w))
-                .collect();
-            let problem = PastryProblem::new(
-                space,
-                config.digit_bits,
-                node,
-                core.clone(),
-                candidates,
-                config.k,
-            )
-            .expect("scale problems are well-formed");
+            let candidates = candidates.fill(&weights, node, &core);
+            problem
+                .refill(space, config.digit_bits, node, &core, candidates, config.k)
+                .expect("scale problems are well-formed");
             let aware = &workspace
                 .solve_into(&problem)
                 .expect("scale problems are well-formed")
@@ -691,6 +683,8 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
             let (start, end) = layout.bounds(s);
             let mut workspace = PastryWorkspace::new();
             let mut core = Vec::new();
+            let mut candidates = CandidateScratch::default();
+            let mut problem = PastryProblem::default();
             let mut snap = FrequencySnapshot::default();
             let mut count = 0usize;
             for rank in start..end {
@@ -698,20 +692,13 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
                     continue;
                 }
                 let node = arena.ids()[rank];
-                arena.core_neighbors_into(rank, &mut core);
                 counters.snapshot_into(rank, &mut snap);
-                let candidates: Vec<Candidate> = snap
-                    .iter()
-                    .filter(|&(id, _)| {
-                        id != node
-                            && core.binary_search(&id).is_err()
-                            && arena.rank_of(id).is_some_and(|r| alive[r])
-                    })
-                    .map(|(id, w)| Candidate::new(id, w))
-                    .collect();
-                let problem =
-                    PastryProblem::new(space, sc.digit_bits, node, core.clone(), candidates, sc.k)
-                        .expect("scale-churn problems are well-formed");
+                arena.core_neighbors_into(rank, &mut core);
+                let live = |c: &&Candidate| arena.rank_of(c.id).is_some_and(|r| alive[r]);
+                let candidates = candidates.fill(&snap, node, &core).iter().filter(live);
+                problem
+                    .refill(space, sc.digit_bits, node, &core, candidates, sc.k)
+                    .expect("scale-churn problems are well-formed");
                 let aux = &workspace
                     .solve_into(&problem)
                     .expect("scale-churn problems are well-formed")

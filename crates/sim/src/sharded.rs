@@ -25,6 +25,7 @@
 //! [`HopAccumulator`]s, one per fixed-size query chunk, merged in chunk
 //! order — no per-pass vector of outcomes is ever materialised.
 
+use peercache_core::{CandidateScratch, PastryProblem};
 use peercache_freq::{FrequencyEstimator, FrequencySnapshot, SpaceSaving};
 use peercache_id::{Id, IdSpace};
 use rand::rngs::StdRng;
@@ -134,17 +135,17 @@ struct ShardState {
     retained: Vec<RetainedPastry>,
     dirty: Vec<bool>,
     scratch: SelectScratch,
-    core_buf: Vec<Id>,
-    /// `core_buf` sorted — the binary-searchable exclusion set the pool
-    /// refill filters against.
-    core_sorted: Vec<Id>,
     /// Counter snapshot buffer (`snapshot_into` target).
     snap: FrequencySnapshot,
     /// Base pool weights + counter weights, rebuilt in place per node.
     combined: FrequencySnapshot,
+    /// The node's core set (`core_neighbors_into` target).
+    core: Vec<Id>,
     /// `combined` minus the node and its core set — the candidate pool
-    /// handed to (and then swapped into) the retained solver.
-    pool: FrequencySnapshot,
+    /// handed to the retained solver.
+    candidates: CandidateScratch,
+    /// The retained solver's full-path problem.
+    problem: PastryProblem,
 }
 
 /// Which strategy's slab a measurement pass resolves pointers from.
@@ -194,14 +195,14 @@ impl ShardedOverlay {
                     aware,
                     oblivious,
                     counters: vec![SpaceSaving::new(config.items.max(1)); count],
-                    retained: (0..count).map(|_| RetainedPastry::new()).collect(),
+                    retained: (0..count).map(|_| RetainedPastry::default()).collect(),
                     dirty: vec![false; count],
                     scratch: SelectScratch::new(),
-                    core_buf: Vec::new(),
-                    core_sorted: Vec::new(),
                     snap: FrequencySnapshot::default(),
                     combined: FrequencySnapshot::default(),
-                    pool: FrequencySnapshot::default(),
+                    core: Vec::new(),
+                    candidates: CandidateScratch::default(),
+                    problem: PastryProblem::default(),
                 }
             })
             .collect();
@@ -385,36 +386,23 @@ impl ShardState {
             self.counters[local].snapshot_into(&mut self.snap);
             self.combined
                 .refill_from_pairs(base.iter().chain(self.snap.iter()));
-            setup.overlay.core_neighbors_into(node, &mut self.core_buf);
-            self.core_sorted.clear();
-            self.core_sorted.extend_from_slice(&self.core_buf);
-            self.core_sorted.sort_unstable();
             match kind {
                 OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
-                    let Self {
-                        retained,
-                        aware,
-                        combined,
-                        pool,
-                        core_buf,
-                        core_sorted,
-                        ..
-                    } = self;
-                    pool.refill_filtered(combined, |p| {
-                        p != node && core_sorted.binary_search(&p).is_err()
-                    });
+                    setup.overlay.core_neighbors_into(node, &mut self.core);
+                    let candidates = self.candidates.fill(&self.combined, node, &self.core);
                     let params = PastryParams {
                         node,
                         digit_bits,
                         k: config.k,
                         space,
                     };
-                    // Stable mode never changes a node's core set, so
-                    // the core delta is always empty.
-                    let aux = retained[local]
-                        .refresh(pool, &params, core_buf, &[], &[])
+                    // Stable mode never changes a node's core set: the
+                    // core of the last refresh is this one.
+                    let core = &self.core;
+                    let aux = self.retained[local]
+                        .refresh(core, core, candidates, &mut self.problem, &params)
                         .expect("stable problems are well-formed");
-                    aware.set(local, aux);
+                    self.aware.set(local, aux);
                 }
                 OverlayKind::Chord | OverlayKind::SkipGraph => {
                     let aux = setup

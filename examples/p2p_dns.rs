@@ -20,7 +20,7 @@ use peercache::chord::{ChordConfig, ChordNetwork};
 use peercache::freq::ExactCounter;
 use peercache::select::chord::select_fast;
 use peercache::workload::{random_ids, ItemCatalog, NodeWorkload, Ranking, Zipf};
-use peercache::{Candidate, ChordProblem, FrequencyEstimator, IdSpace};
+use peercache::{CandidateScratch, ChordProblem, FrequencyEstimator, IdSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -54,20 +54,10 @@ fn main() {
         counter.observe(*res.path.last().unwrap());
     }
     let core = net.node(resolver).unwrap().core_neighbors();
-    let snapshot = counter
-        .snapshot()
-        .without(core.iter().copied().chain([resolver]));
-    let problem = ChordProblem::new(
-        space,
-        resolver,
-        core,
-        snapshot
-            .iter()
-            .map(|(id, w)| Candidate::new(id, w))
-            .collect(),
-        8,
-    )
-    .unwrap();
+    let candidates = CandidateScratch::default()
+        .fill(&counter.snapshot(), resolver, &core)
+        .to_vec();
+    let problem = ChordProblem::new(space, resolver, core, candidates, 8).unwrap();
     let selection = select_fast(&problem).unwrap();
     println!(
         "resolver caches {} pointers to hot name servers",

@@ -16,7 +16,7 @@ use peercache::freq::ExactCounter;
 use peercache::select::chord::select_fast;
 use peercache::sim::reduction_pct;
 use peercache::workload::{random_ids, ItemCatalog, NodeWorkload, Ranking, Zipf};
-use peercache::{Candidate, ChordProblem, FrequencyEstimator, Id, IdSpace};
+use peercache::{CandidateScratch, ChordProblem, FrequencyEstimator, Id, IdSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,13 +51,11 @@ fn main() {
     // 3. Choose the k = log₂ n = 7 optimal auxiliary neighbors.
     let k = 7;
     let core = net.node(me).unwrap().core_neighbors();
-    let snapshot = counter
-        .snapshot()
-        .without(core.iter().copied().chain(std::iter::once(me)));
-    let candidates: Vec<Candidate> = snapshot
-        .iter()
-        .map(|(id, w)| Candidate::new(id, w))
-        .collect();
+    let snapshot = counter.snapshot();
+    // The candidates: every observed peer except `me` and its core.
+    let candidates = CandidateScratch::default()
+        .fill(&snapshot, me, &core)
+        .to_vec();
     let problem = ChordProblem::new(space, me, core, candidates, k).unwrap();
     let selection = select_fast(&problem).unwrap();
     println!(

@@ -71,6 +71,8 @@ pub use peercache_skipgraph as skipgraph;
 pub use peercache_tapestry as tapestry;
 pub use peercache_workload as workload;
 
-pub use peercache_core::{Candidate, ChordProblem, PastryProblem, SelectError, Selection};
+pub use peercache_core::{
+    Candidate, CandidateScratch, ChordProblem, PastryProblem, SelectError, Selection,
+};
 pub use peercache_freq::{FrequencyEstimator, FrequencySnapshot};
 pub use peercache_id::{Id, IdSpace};

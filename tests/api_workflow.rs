@@ -10,7 +10,8 @@ use peercache::select::exhaustive::chord_exhaustive;
 use peercache::select::pastry::{select_greedy, PastryOptimizer};
 use peercache::workload::{random_ids, ItemCatalog, NodeWorkload, Ranking, Zipf};
 use peercache::{
-    Candidate, ChordProblem, FrequencyEstimator, FrequencySnapshot, Id, IdSpace, PastryProblem,
+    Candidate, CandidateScratch, ChordProblem, FrequencyEstimator, FrequencySnapshot, Id, IdSpace,
+    PastryProblem,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,12 +43,9 @@ fn chord_workflow_improves_measured_hops() {
     }
 
     let core = net.node(me).unwrap().core_neighbors();
-    let build = |snapshot: FrequencySnapshot| {
-        let cands: Vec<Candidate> = snapshot
-            .without(core.iter().copied().chain([me]))
-            .iter()
-            .map(|(id, w)| Candidate::new(id, w))
-            .collect();
+    let mut cut = CandidateScratch::default();
+    let mut build = |snapshot: FrequencySnapshot| {
+        let cands = cut.fill(&snapshot, me, &core).to_vec();
         ChordProblem::new(space, me, core.clone(), cands, 7).unwrap()
     };
     let from_exact = select_fast(&build(exact.snapshot())).unwrap();
